@@ -139,7 +139,7 @@ core::GatheredModel GpuDenseLda::Gather() const {
   m.vocab_size = corpus_->vocab_size();
   m.num_docs = corpus_->num_docs();
   m.theta = chunk_.theta;
-  m.phi = model_.phi;
+  m.phi = model_.phi.TopicMajor();
   m.nk = model_.nk;
   return m;
 }

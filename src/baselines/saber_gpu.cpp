@@ -149,7 +149,7 @@ core::GatheredModel SaberGpuLda::Gather() const {
   m.vocab_size = corpus_->vocab_size();
   m.num_docs = corpus_->num_docs();
   m.theta = chunk_.theta;
-  m.phi = model_.phi;
+  m.phi = model_.phi.TopicMajor();
   m.nk = model_.nk;
   return m;
 }

@@ -7,12 +7,16 @@
 // in shared memory, so the two passes over p (mass computation and sampling)
 // touch off-chip memory only once.
 //
-// Layout: the storage holds the leaf prefix array followed by the internal
-// levels bottom-up; level i+1 stores the last prefix value of each group of
-// `fanout` level-i entries. Search walks top-down, scanning at most `fanout`
-// entries per level.
+// Layout of the device tree: the leaf prefix array followed by the internal
+// levels bottom-up; level l+1 stores the last prefix value of each group of
+// `fanout` level-l entries. Every internal entry is therefore a leaf: entry
+// i of level l is prefix[min(n, (i+1)·F^l) − 1]. The host keeps only the
+// leaves and walks the internal levels implicitly (SearchPrefixTree), which
+// inspects exactly the entries the device walk would. StorageSlots() is the
+// device tree's full footprint, which kernels allocate and bill.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -22,9 +26,62 @@
 
 namespace culda::core {
 
+/// Walks the F-ary index tree over the inclusive prefix sums `prefix`
+/// top-down, scanning at most `fanout` entries per level, and returns the
+/// minimal k with prefix[k] > u (clamped to n−1 for u at or beyond the total
+/// mass, absorbing float round-off). `comparisons`, if given, receives the
+/// number of entries inspected — the cost a warp pays.
+///
+/// Contract: `prefix` must be non-empty, `u` finite and non-negative, and
+/// the total mass prefix[n−1] positive. All three are checked in every
+/// build: a NaN draw or a zero-mass distribution would otherwise fall
+/// through the round-off clamp and silently return the last leaf — a
+/// sampling bug indistinguishable from a legitimate draw.
+inline size_t SearchPrefixTree(std::span<const float> prefix,
+                               uint32_t fanout, float u,
+                               uint64_t* comparisons = nullptr) {
+  const size_t n = prefix.size();
+  CULDA_DCHECK(fanout >= 2);
+  CULDA_CHECK_MSG(n > 0, "cannot sample from an empty index tree");
+  CULDA_CHECK_MSG(std::isfinite(u) && u >= 0.0f,
+                  "index-tree search point must be finite and "
+                  "non-negative, got "
+                      << u);
+  CULDA_CHECK_MSG(prefix[n - 1] > 0.0f,
+                  "cannot sample from an index tree with total mass "
+                      << prefix[n - 1]
+                      << "; the distribution has no support");
+  // Leaves covered by one entry of the current level, F^l; the top level is
+  // the first with at most F entries (n ≤ F^(l+1)).
+  size_t stride = 1;
+  while (n > stride * fanout) stride *= fanout;
+  uint64_t inspected = 0;
+  size_t chosen = 0;  // entry chosen at the level above (0 above the top)
+  for (;;) {
+    // Scan the group of at most F entries under the parent. The group's
+    // last existing entry is taken unread when the scan reaches it: hit or
+    // round-off clamp, the walk chooses it either way.
+    const size_t begin = chosen * fanout;
+    const size_t last = std::min(begin + fanout, (n - 1) / stride + 1) - 1;
+    size_t i = begin;
+    size_t leaf = (begin + 1) * stride - 1;  // entry i's value is prefix[leaf]
+    while (i < last && !(prefix[leaf] > u)) {
+      ++i;
+      leaf += stride;
+    }
+    inspected += i - begin + 1;
+    chosen = i;
+    if (stride == 1) break;
+    stride /= fanout;
+  }
+  if (comparisons != nullptr) *comparisons = inspected;
+  return chosen;
+}
+
 class IndexTreeView {
  public:
-  /// Number of float slots needed for a tree over `n` probabilities.
+  /// Number of float slots the device tree over `n` probabilities occupies
+  /// (leaves plus internal levels): the size kernels allocate and bill.
   static size_t StorageSlots(size_t n, uint32_t fanout) {
     CULDA_DCHECK(fanout >= 2);
     size_t slots = n;
@@ -38,23 +95,16 @@ class IndexTreeView {
   IndexTreeView() = default;
 
   /// Binds the view to external storage (shared memory in kernels). The
-  /// storage must have at least StorageSlots(n, fanout) floats.
+  /// host uses only the first `n` slots (the leaves); kernels bind it to
+  /// their StorageSlots(n, fanout)-sized allocation.
   IndexTreeView(std::span<float> storage, size_t n, uint32_t fanout)
       : storage_(storage), n_(n), fanout_(fanout) {
     CULDA_CHECK(fanout >= 2);
-    CULDA_CHECK_MSG(storage.size() >= StorageSlots(n, fanout),
-                    "index-tree storage too small");
-    size_t offset = 0, level = n;
-    num_levels_ = 0;
-    level_offsets_[num_levels_] = offset;
-    level_sizes_[num_levels_] = level;
-    ++num_levels_;
-    while (level > fanout_) {
-      offset += level;
+    CULDA_CHECK_MSG(storage.size() >= n, "index-tree storage too small");
+    num_levels_ = 1;
+    for (size_t level = n; level > fanout_;) {
       level = (level + fanout_ - 1) / fanout_;
       CULDA_CHECK_MSG(num_levels_ < kMaxLevels, "distribution too large");
-      level_offsets_[num_levels_] = offset;
-      level_sizes_[num_levels_] = level;
       ++num_levels_;
     }
   }
@@ -63,8 +113,8 @@ class IndexTreeView {
   size_t levels() const { return num_levels_; }
 
   /// Builds the tree from probabilities `p` (length n). Returns the total
-  /// mass (the last prefix sum). Costs n adds for the leaves plus ~n/(F-1)
-  /// adds for the internal levels.
+  /// mass (the last prefix sum). Costs n adds for the leaves; the internal
+  /// levels are implied by them.
   ///
   /// Contract: every p[i] must be finite and non-negative (checked
   /// per-element in debug builds; the final mass is checked in every
@@ -76,99 +126,37 @@ class IndexTreeView {
     CULDA_CHECK(p.size() == n_);
     if (n_ == 0) return 0.0f;
     float acc = 0;
-    std::span<float> leaves = Level(0);
     for (size_t i = 0; i < n_; ++i) {
       CULDA_DCHECK(p[i] >= 0.0f);
       acc += p[i];
-      leaves[i] = acc;
+      storage_[i] = acc;
     }
     CULDA_CHECK_MSG(std::isfinite(acc) && acc >= 0.0f,
                     "index-tree mass must be finite and non-negative, got "
                         << acc
                         << " (NaN or negative probabilities in the input)");
-    for (size_t l = 1; l < num_levels_; ++l) {
-      std::span<const float> below = Level(l - 1);
-      std::span<float> cur = Level(l);
-      for (size_t i = 0; i < cur.size(); ++i) {
-        const size_t last = std::min(below.size(), (i + 1) * fanout_) - 1;
-        cur[i] = below[last];
-      }
-    }
     return acc;
   }
 
-  float TotalMass() const {
-    if (n_ == 0) return 0.0f;
-    const auto top = Level(levels() - 1);
-    return top[top.size() - 1];
-  }
+  float TotalMass() const { return n_ == 0 ? 0.0f : storage_[n_ - 1]; }
 
-  /// Finds the minimal k with prefix[k] > u (clamped to n-1 for u at or
-  /// beyond the total mass, absorbing float round-off). `comparisons`, if
-  /// given, receives the number of entries inspected — the cost a warp pays.
-  ///
-  /// Contract: `u` must be finite and non-negative, and the tree must have
-  /// positive total mass. Both are checked in every build: a NaN draw or a
-  /// zero-mass tree previously fell through the round-off clamp and
-  /// silently returned the last leaf — a sampling bug indistinguishable
-  /// from a legitimate draw (see tests/test_index_tree.cpp edge cases).
+  /// SearchPrefixTree over this tree's leaves (same contract).
   size_t Search(float u, uint64_t* comparisons = nullptr) const {
-    CULDA_CHECK_MSG(n_ > 0, "cannot sample from an empty index tree");
-    CULDA_CHECK_MSG(std::isfinite(u) && u >= 0.0f,
-                    "index-tree search point must be finite and "
-                    "non-negative, got "
-                        << u);
-    CULDA_CHECK_MSG(TotalMass() > 0.0f,
-                    "cannot sample from an index tree with total mass "
-                        << TotalMass()
-                        << "; the distribution has no support");
-    uint64_t inspected = 0;
-    // Walk top-down. `lo` is the first leaf index of the current subtree.
-    size_t group_begin = 0;  // index of the first entry of the group at the
-                             // current level
-    for (size_t l = levels(); l-- > 0;) {
-      const std::span<const float> level = Level(l);
-      const size_t group_end =
-          std::min(level.size(), group_begin + fanout_);
-      size_t chosen = group_end - 1;  // default to last (round-off guard)
-      for (size_t i = group_begin; i < group_end; ++i) {
-        ++inspected;
-        if (level[i] > u) {
-          chosen = i;
-          break;
-        }
-      }
-      if (l == 0) {
-        if (comparisons != nullptr) *comparisons = inspected;
-        return chosen;
-      }
-      group_begin = chosen * fanout_;
-    }
-    if (comparisons != nullptr) *comparisons = inspected;
-    return n_ - 1;
+    return SearchPrefixTree(storage_.first(n_), fanout_, u, comparisons);
   }
 
   /// Leaf prefix value at k (prefix[k]); used by tests.
-  float PrefixAt(size_t k) const { return Level(0)[k]; }
+  float PrefixAt(size_t k) const { return storage_[k]; }
 
  private:
-  std::span<float> Level(size_t l) {
-    return storage_.subspan(level_offsets_[l], level_sizes_[l]);
-  }
-  std::span<const float> Level(size_t l) const {
-    return storage_.subspan(level_offsets_[l], level_sizes_[l]);
-  }
-
-  // Level 0 = leaves; the last level has <= fanout entries. 24 levels cover
-  // n up to 2^24 even at fanout = 2 (the A1 ablation's degenerate case).
+  // The last level has <= fanout entries. 24 levels cover n up to 2^24
+  // even at fanout = 2 (the A1 ablation's degenerate case).
   static constexpr size_t kMaxLevels = 24;
 
   std::span<float> storage_;
   size_t n_ = 0;
   uint32_t fanout_ = 32;
   size_t num_levels_ = 0;
-  size_t level_offsets_[kMaxLevels] = {};
-  size_t level_sizes_[kMaxLevels] = {};
 };
 
 /// An IndexTreeView plus owned storage, for host-side use (tests, CPU
@@ -176,8 +164,7 @@ class IndexTreeView {
 class IndexTree {
  public:
   IndexTree(size_t n, uint32_t fanout)
-      : storage_(IndexTreeView::StorageSlots(n, fanout)),
-        view_(storage_, n, fanout) {}
+      : storage_(n), view_(storage_, n, fanout) {}
 
   IndexTreeView& view() { return view_; }
   const IndexTreeView& view() const { return view_; }

@@ -1,6 +1,7 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <vector>
 
@@ -25,10 +26,8 @@ constexpr double kStreamMemDerate = 1.0;     // pure streaming kernels
 /// its own copy, so no synchronization is needed.)
 struct SamplerScratch {
   std::vector<float> pstar;
-  std::vector<float> p2_tree;
-  std::vector<float> p2_vals;
-  std::vector<float> p1_vals;
-  std::vector<float> p1_spill;
+  std::vector<float> p2_prefix;  ///< inclusive prefix sums of p2 (Q)
+  std::vector<float> p1_prefix;  ///< inclusive prefix sums of p1 (S)
 };
 thread_local SamplerScratch tl_scratch;
 
@@ -44,24 +43,6 @@ struct UpdateThetaScratch {
 };
 thread_local UpdateThetaScratch tl_theta_scratch;
 
-/// Tree storage bound either to the block's shared arena or, when the arena
-/// is exhausted (large K / long rows), to heap scratch billed as global
-/// traffic — the simulator's equivalent of spilling out of shared memory.
-struct TreePlacement {
-  std::span<float> storage;
-  bool in_shared = false;
-};
-
-TreePlacement PlaceTree(gpusim::BlockContext& ctx, std::vector<float>& spill,
-                        size_t slots, std::span<float> shared_arena) {
-  if (shared_arena.size() >= slots) {
-    return {shared_arena.subspan(0, slots), true};
-  }
-  if (spill.size() < slots) spill.resize(slots);
-  (void)ctx;
-  return {std::span<float>(spill.data(), slots), false};
-}
-
 /// Per-worker scratch for the alias/MH sampling kernel: the per-block word
 /// alias over p*(k) and its build workspace.
 struct MhSamplerScratch {
@@ -71,6 +52,54 @@ struct MhSamplerScratch {
   AliasBuildScratch build;
 };
 thread_local MhSamplerScratch tl_mh_scratch;
+
+/// p*(k) = (φ_kw + β) / (n_k + βV) over word w's φ counts: the common
+/// sub-expression of p1 and p2 (Eq. 8).
+void ComputePstar(std::span<const uint16_t> phi_w,
+                  std::span<const int32_t> nk, float beta, float beta_v,
+                  std::span<float> pstar) {
+  for (size_t k = 0; k < pstar.size(); ++k) {
+    pstar[k] = (static_cast<float>(phi_w[k]) + beta) /
+               (static_cast<float>(nk[k]) + beta_v);
+  }
+}
+
+// The two running-sum passes are kept out of line so their sums stay in
+// registers: inlined into the large kernel body, GCC kept each sum in a stack
+// slot, a store and a reload on the dependency chain of every element.
+
+/// Writes the running sums of p2(k) = α_k · p*(k) — the leaves of the p2
+/// index tree — into `prefix` and returns Q = Σ p2. `asym_alpha` empty
+/// means the symmetric α.
+[[gnu::noinline]]
+float P2PrefixSums(std::span<const float> pstar, float alpha,
+                   std::span<const double> asym_alpha,
+                   std::span<float> prefix) {
+  float acc = 0;
+  for (size_t k = 0; k < pstar.size(); ++k) {
+    const float alpha_k =
+        asym_alpha.empty() ? alpha : static_cast<float>(asym_alpha[k]);
+    acc += alpha_k * pstar[k];
+    prefix[k] = acc;
+  }
+  return acc;
+}
+
+/// Writes the running sums of p1(j) = θ_dj · p*(k_j) over one θ row — the
+/// leaves of the p1 index tree — into `prefix` and returns S = Σ p1.
+[[gnu::noinline]]
+float P1PrefixSums(std::span<const uint16_t> topics,
+                   std::span<const int32_t> counts,
+                   std::span<const float> pstar, std::span<float> prefix) {
+  float acc = 0;
+  for (size_t j = 0; j < topics.size(); ++j) {
+    const float p = static_cast<float>(counts[j]) * pstar[topics[j]];
+    CULDA_DCHECK(p >= 0.0f);
+    acc += p;
+    prefix[j] = acc;
+  }
+  return acc;
+}
 
 /// Stale θ̃_d count of topic k, by binary search of the sorted CSR row.
 inline int32_t ThetaAt(std::span<const uint16_t> idx,
@@ -179,10 +208,7 @@ gpusim::KernelRecord RunMhSamplingKernel(gpusim::Device& device,
     // the exact kernel (and the same compute_q attribution)...
     if (scratch.pstar.size() < K) scratch.pstar.resize(K);
     std::span<float> pstar(scratch.pstar.data(), K);
-    for (uint32_t k = 0; k < K; ++k) {
-      pstar[k] = (static_cast<float>(replica.phi(k, w)) + beta) /
-                 (static_cast<float>(replica.nk[k]) + beta_v);
-    }
+    ComputePstar(replica.phi.Word(w), replica.nk, beta, beta_v, pstar);
     local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
     local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
     local.compute_q.flops += 2ull * K;
@@ -362,82 +388,61 @@ gpusim::KernelRecord RunSamplingKernel(
     // p1 and p2 (Eq. 8), computed once per block and cached in shared memory
     // when reuse_pstar is on.
     if (scratch.pstar.size() < K) scratch.pstar.resize(K);
-    std::span<float> pstar(scratch.pstar.data(), K);
-    {
-      for (uint32_t k = 0; k < K; ++k) {
-        pstar[k] = (static_cast<float>(replica.phi(k, w)) + beta) /
-                   (static_cast<float>(replica.nk[k]) + beta_v);
-      }
-      // One φ column + n_k; the column is a strided walk over DRAM, n_k is
-      // small and hot so it hits L1.
-      local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
-      local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
-      local.compute_q.flops += 2ull * K;
-      if (cfg.reuse_pstar) {
-        // Cached in shared memory; subsequent uses are shared reads.
-        (void)ctx.shared().Alloc<float>(K);
-        ctx.WriteShared(static_cast<uint64_t>(K) * 4);
-      }
+    const std::span<float> pstar(scratch.pstar.data(), K);
+    ComputePstar(replica.phi.Word(w), replica.nk, beta, beta_v, pstar);
+    // One φ column + n_k; the column is a strided walk over the device's K×V
+    // DRAM layout, n_k is small and hot so it hits L1.
+    local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
+    local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
+    local.compute_q.flops += 2ull * K;
+    if (cfg.reuse_pstar) {
+      // Cached in shared memory; subsequent uses are shared reads.
+      (void)ctx.shared().Alloc<float>(K);
+      ctx.WriteShared(static_cast<uint64_t>(K) * 4);
     }
 
     // ---- Q and the p2 index tree, shared by all samplers of the block
-    // when share_p2_tree is on; otherwise every token pays the rebuild.
+    // when share_p2_tree is on; otherwise every token pays the rebuild. The
+    // tree is billed as built; the host keeps its leaves (p2_prefix).
     const size_t p2_slots = IndexTreeView::StorageSlots(K, fanout);
-    std::span<float> p2_arena;
     bool p2_in_shared = false;
     if (cfg.share_p2_tree &&
         ctx.shared().capacity() - ctx.shared().used() >= p2_slots * 4) {
-      p2_arena = ctx.shared().Alloc<float>(p2_slots);
+      (void)ctx.shared().Alloc<float>(p2_slots);
       p2_in_shared = true;
-    } else {
-      if (scratch.p2_tree.size() < p2_slots) scratch.p2_tree.resize(p2_slots);
-      p2_arena = std::span<float>(scratch.p2_tree.data(), p2_slots);
     }
-    IndexTreeView p2_tree(p2_arena, K, fanout);
-    float q_mass = 0;
-    {
-      // p2(k) = α_k · p*(k) (α_k constant under the symmetric default).
-      std::vector<float>& p2_vals = scratch.p2_vals;
-      if (p2_vals.size() < K) p2_vals.resize(K);
-      if (cfg.asymmetric_alpha.empty()) {
-        for (uint32_t k = 0; k < K; ++k) p2_vals[k] = alpha * pstar[k];
-      } else {
-        for (uint32_t k = 0; k < K; ++k) {
-          p2_vals[k] =
-              static_cast<float>(cfg.asymmetric_alpha[k]) * pstar[k];
-        }
-      }
-      q_mass = p2_tree.Build(std::span<const float>(p2_vals.data(), K));
-
-      // Scaling by α is part of computing Q; the prefix/tree construction
-      // belongs to the p2 sampling step (the paper's Table 1 attribution).
-      local.compute_q.flops += K;
-      const uint64_t build_flops = 2ull * K;
-      const uint64_t tree_bytes = p2_slots * 4;
-      local.sample_p2.flops += build_flops;
-      if (p2_in_shared) {
-        local.sample_p2.shared_write_bytes += tree_bytes;
-      } else {
-        local.sample_p2.global_write_bytes += tree_bytes;
-      }
+    if (scratch.p2_prefix.size() < K) scratch.p2_prefix.resize(K);
+    const std::span<float> p2_prefix(scratch.p2_prefix.data(), K);
+    // p2(k) = α_k · p*(k) (α_k constant under the symmetric default).
+    const float q_mass =
+        P2PrefixSums(pstar, alpha, cfg.asymmetric_alpha, p2_prefix);
+    CULDA_CHECK_MSG(std::isfinite(q_mass) && q_mass >= 0.0f,
+                    "index-tree mass must be finite and non-negative, "
+                    "got " << q_mass << " (p2 of word " << w << ")");
+    // Scaling by α is part of computing Q; the prefix/tree construction
+    // belongs to the p2 sampling step (the paper's Table 1 attribution).
+    local.compute_q.flops += K;
+    local.sample_p2.flops += 2ull * K;
+    if (p2_in_shared) {
+      local.sample_p2.shared_write_bytes += p2_slots * 4;
+    } else {
+      local.sample_p2.global_write_bytes += p2_slots * 4;
     }
 
     // ---- Per-warp p1 arenas carved out of the remaining shared memory.
+    // A p1 tree that fits its warp's arena is billed as shared traffic;
+    // one that does not spills to (billed) global memory.
     const size_t shared_left =
         (ctx.shared().capacity() - ctx.shared().used()) / 4;
     const size_t warp_arena_slots = shared_left / samplers;
-    std::span<float> warp_arena_all;
     if (warp_arena_slots > 0) {
-      warp_arena_all = ctx.shared().Alloc<float>(warp_arena_slots * samplers);
+      (void)ctx.shared().Alloc<float>(warp_arena_slots * samplers);
     }
+    const size_t p1_arena_slots = cfg.use_shared_trees ? warp_arena_slots : 0;
 
     // ---- The samplers. One warp = one sampler; tokens are strided across
     // the block's samplers (Figure 6).
     for (uint32_t s = 0; s < samplers; ++s) {
-      std::span<float> warp_arena =
-          warp_arena_slots > 0
-              ? warp_arena_all.subspan(s * warp_arena_slots, warp_arena_slots)
-              : std::span<float>{};
       for (uint64_t t = bw.token_begin + s; t < bw.token_end; t += samplers) {
         const uint32_t local_doc = chunk.layout.token_doc[t];
         ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
@@ -455,16 +460,15 @@ gpusim::KernelRecord RunSamplingKernel(
         }
         local.compute_s.global_read_bytes += kd * 4;
 
-        // p1 values and S = Σ p1 (the sparse bucket mass).
-        std::vector<float>& p1_vals = scratch.p1_vals;
-        if (p1_vals.size() < kd) p1_vals.resize(kd);
-        float s_mass = 0;
-        for (uint64_t j = 0; j < kd; ++j) {
-          const float p = static_cast<float>(theta_val[j]) *
-                          pstar[theta_idx[j]];
-          p1_vals[j] = p;
-          s_mass += p;
-        }
+        // p1 values and S = Σ p1 (the sparse bucket mass), kept as the
+        // prefix array the p1 draw searches.
+        if (scratch.p1_prefix.size() < kd) scratch.p1_prefix.resize(kd);
+        const std::span<float> p1_prefix(scratch.p1_prefix.data(), kd);
+        const float s_mass =
+            P1PrefixSums(theta_idx, theta_val, pstar, p1_prefix);
+        CULDA_CHECK_MSG(std::isfinite(s_mass) && s_mass >= 0.0f,
+                        "index-tree mass must be finite and non-negative, "
+                        "got " << s_mass << " (p1 of word " << w << ")");
         local.compute_s.flops += 2 * kd;
         if (cfg.reuse_pstar) {
           local.compute_s.shared_read_bytes += kd * 4;
@@ -485,14 +489,11 @@ gpusim::KernelRecord RunSamplingKernel(
         }
 
         // Private p1 index tree (Figure 6), spilling past shared capacity.
+        // Billed as built; the host draws from its leaves (p1_prefix).
         const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
-        const TreePlacement p1_place = PlaceTree(
-            ctx, scratch.p1_spill, p1_slots,
-            cfg.use_shared_trees ? warp_arena : std::span<float>{});
-        IndexTreeView p1_tree(p1_place.storage, kd, fanout);
-        p1_tree.Build(std::span<const float>(p1_vals.data(), kd));
+        const bool p1_in_shared = p1_arena_slots >= p1_slots;
         local.sample_p1.flops += kd;
-        if (p1_place.in_shared) {
+        if (p1_in_shared) {
           local.sample_p1.shared_write_bytes += p1_slots * 4;
         } else {
           local.sample_p1.global_write_bytes += p1_slots * 4;
@@ -513,10 +514,10 @@ gpusim::KernelRecord RunSamplingKernel(
         uint32_t new_topic;
         uint64_t inspected = 0;
         if (u < s_mass) {
-          const size_t j = p1_tree.Search(u, &inspected);
+          const size_t j = SearchPrefixTree(p1_prefix, fanout, u, &inspected);
           new_topic = theta_idx[j];
           local.sample_p1.flops += inspected;
-          if (p1_place.in_shared) {
+          if (p1_in_shared) {
             local.sample_p1.shared_read_bytes += inspected * 4;
           } else {
             local.sample_p1.global_read_bytes += inspected * 4;
@@ -524,7 +525,7 @@ gpusim::KernelRecord RunSamplingKernel(
           ++local.p1_branches;
         } else {
           const float u2 = std::min(u - s_mass, q_mass);
-          const size_t k = p2_tree.Search(u2, &inspected);
+          const size_t k = SearchPrefixTree(p2_prefix, fanout, u2, &inspected);
           new_topic = static_cast<uint32_t>(k);
           local.sample_p2.flops += inspected;
           if (p2_in_shared) {
@@ -602,13 +603,14 @@ gpusim::KernelRecord RunUpdatePhiKernel(gpusim::Device& device,
   auto body = [&](gpusim::BlockContext& ctx) {
     const corpus::BlockWork& bw = chunk.work[ctx.block_id()];
     const uint32_t w = bw.word;
+    const std::span<uint16_t> phi_w = replica.phi.Word(w);
     for (uint64_t t = bw.token_begin; t < bw.token_end; ++t) {
       const uint16_t k = chunk.z[t];
       ctx.ReadGlobal(2);  // z
       // Word-first order: all atomics of this block land in column w, which
       // is the data locality Section 6.2 relies on.
       const uint16_t prev =
-          ctx.AtomicAdd(replica.phi(k, w), static_cast<uint16_t>(1));
+          ctx.AtomicAdd(phi_w[k], static_cast<uint16_t>(1));
       // Section 6.1.3's 16-bit counts are a claim, not a law of nature —
       // detect the corpus that breaks it instead of silently wrapping.
       CULDA_CHECK_MSG(prev != 0xFFFF,

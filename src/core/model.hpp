@@ -7,10 +7,13 @@
 //
 // Data representations follow Section 6.1.3: θ is CSR with 16-bit topic
 // indices; φ is a dense K×V matrix of 16-bit counts; per-topic totals
-// n_k = Σ_v φ_kv are 32-bit (they exceed 2^16 on any real corpus).
+// n_k = Σ_v φ_kv are 32-bit (they exceed 2^16 on any real corpus). The
+// simulator's host copies of the per-device φ replicas are stored word-major
+// (WordMajorPhi below); the billed device model is still the dense K×V one.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -46,11 +49,66 @@ struct ChunkState {
   }
 };
 
+/// The 16-bit φ counts of a device replica, stored word-major (V×K) on the
+/// host. Every kernel visits φ one word at a time — the sampling kernels'
+/// per-block p* pass, a word-first block's update_phi atomics, word-range
+/// shard copies — so keeping a word's K topic counts contiguous turns each
+/// strided K-element gather into one contiguous read (WarpLDA's locality
+/// argument for visiting φ word by word). The layout is a host detail:
+/// kernels still bill the paper's dense K×V device matrix, and gathered
+/// models are topic-major PhiMatrix (TopicMajor). Deliberately not a
+/// DenseMatrix, so topic-major Row(k) access does not compile.
+class WordMajorPhi {
+ public:
+  WordMajorPhi() = default;
+  WordMajorPhi(uint32_t num_topics, uint32_t vocab_size)
+      : words_(vocab_size, num_topics) {}
+
+  uint32_t num_topics() const { return static_cast<uint32_t>(words_.cols()); }
+  uint32_t vocab_size() const { return static_cast<uint32_t>(words_.rows()); }
+
+  /// Count of topic k for word w.
+  uint16_t& operator()(size_t k, size_t w) { return words_(w, k); }
+  uint16_t operator()(size_t k, size_t w) const { return words_(w, k); }
+
+  /// The K topic counts of word w, contiguous.
+  std::span<uint16_t> Word(size_t w) { return words_.Row(w); }
+  std::span<const uint16_t> Word(size_t w) const { return words_.Row(w); }
+
+  /// Words [begin, end) as one contiguous run of (end − begin)·K counts.
+  std::span<uint16_t> Words(size_t begin, size_t end) {
+    CULDA_DCHECK(begin <= end && end <= words_.rows());
+    return words_.flat().subspan(begin * words_.cols(),
+                                 (end - begin) * words_.cols());
+  }
+  std::span<const uint16_t> Words(size_t begin, size_t end) const {
+    CULDA_DCHECK(begin <= end && end <= words_.rows());
+    return words_.flat().subspan(begin * words_.cols(),
+                                 (end - begin) * words_.cols());
+  }
+
+  /// All counts in storage (word-major) order, for element-wise work.
+  std::span<uint16_t> flat() { return words_.flat(); }
+  std::span<const uint16_t> flat() const { return words_.flat(); }
+
+  void Fill(uint16_t v) { words_.Fill(v); }
+
+  /// Copies words [word_begin, word_end) into the topic-major K×V `out`
+  /// (a cache-blocked transpose); other columns of `out` are untouched.
+  void CopyToTopicMajor(PhiMatrix& out, uint32_t word_begin,
+                        uint32_t word_end) const;
+  /// The whole matrix, topic-major.
+  PhiMatrix TopicMajor() const;
+
+ private:
+  sparse::DenseMatrix<uint16_t> words_;  ///< V×K
+};
+
 /// Per-device replica state: φ and n_k.
 struct PhiReplica {
   uint32_t num_topics = 0;
   uint32_t vocab_size = 0;
-  PhiMatrix phi;              ///< K×V counts
+  WordMajorPhi phi;           ///< 16-bit counts, word-major on the host
   std::vector<int32_t> nk;    ///< per-topic totals, derived from φ
 
   PhiReplica() = default;
@@ -65,13 +123,7 @@ struct PhiReplica {
 
   /// Recomputes n_k from φ (host-side reference; the kernel variant bills
   /// its traffic through the device).
-  void RecomputeTotals() {
-    for (uint32_t k = 0; k < num_topics; ++k) {
-      int64_t sum = 0;
-      for (const uint16_t c : phi.Row(k)) sum += c;
-      nk[k] = static_cast<int32_t>(sum);
-    }
-  }
+  void RecomputeTotals();
 };
 
 /// The full trained model gathered back to the host (Algorithm 1 lines

@@ -69,13 +69,20 @@ inline double BuildAliasInto(std::span<const float> w, std::span<float> prob,
     alias[i] = static_cast<uint16_t>(i);
   }
   while (!scratch.small.empty() && !scratch.large.empty()) {
-    const uint32_t s = scratch.small.back();
-    scratch.small.pop_back();
+    // The top large entry absorbs small entries until its scaled weight
+    // drops below 1; the weight stays in a register meanwhile, off the
+    // store/reload path.
     const uint32_t l = scratch.large.back();
-    prob[s] = static_cast<float>(scratch.scaled[s]);
-    alias[s] = static_cast<uint16_t>(l);
-    scratch.scaled[l] -= 1.0 - scratch.scaled[s];
-    if (scratch.scaled[l] < 1.0) {
+    double scaled_l = scratch.scaled[l];
+    do {
+      const uint32_t s = scratch.small.back();
+      scratch.small.pop_back();
+      prob[s] = static_cast<float>(scratch.scaled[s]);
+      alias[s] = static_cast<uint16_t>(l);
+      scaled_l -= 1.0 - scratch.scaled[s];
+    } while (!scratch.small.empty() && !(scaled_l < 1.0));
+    scratch.scaled[l] = scaled_l;
+    if (scaled_l < 1.0) {
       scratch.large.pop_back();
       scratch.small.push_back(l);
     }

@@ -11,7 +11,7 @@ namespace {
 /// φ += other, element-wise, with overflow detection for the 16-bit counts
 /// (Section 6.1.3 argues 16 bits suffice; the check makes the claim
 /// falsifiable instead of silently wrapping).
-void AddReplica(PhiMatrix& into, const PhiMatrix& from) {
+void AddReplica(WordMajorPhi& into, const WordMajorPhi& from) {
   auto dst = into.flat();
   const auto src = from.flat();
   CULDA_CHECK(dst.size() == src.size());
@@ -133,17 +133,11 @@ std::pair<double, double> IntraNodeReduce(
 
 /// Functional inter-node sum: adds every node's replica 0 into node 0's.
 /// Returns a reference to the summed global matrix.
-PhiMatrix& SumNodeReplicas(
+WordMajorPhi& SumNodeReplicas(
     std::vector<std::vector<PhiReplica>*>& node_replicas) {
-  PhiMatrix& global = (*node_replicas[0])[0].phi;
+  WordMajorPhi& global = (*node_replicas[0])[0].phi;
   for (size_t n = 1; n < node_replicas.size(); ++n) {
-    const auto src = (*node_replicas[n])[0].phi.flat();
-    auto dst = global.flat();
-    for (size_t i = 0; i < dst.size(); ++i) {
-      const uint32_t sum = static_cast<uint32_t>(dst[i]) + src[i];
-      CULDA_CHECK_MSG(sum <= 0xFFFF, "phi overflow in multi-node sync");
-      dst[i] = static_cast<uint16_t>(sum);
-    }
+    AddReplica(global, (*node_replicas[n])[0].phi);
   }
   return global;
 }
@@ -153,7 +147,8 @@ PhiMatrix& SumNodeReplicas(
 double BroadcastWithinNodes(std::vector<gpusim::DeviceGroup*>& node_groups,
                             std::vector<std::vector<PhiReplica>*>&
                                 node_replicas,
-                            PhiMatrix& global, uint64_t bytes, double end) {
+                            WordMajorPhi& global, uint64_t bytes,
+                            double end) {
   for (size_t n = 0; n < node_groups.size(); ++n) {
     for (auto& replica : *node_replicas[n]) {
       if (&replica.phi != &global) replica.phi = global;
@@ -205,7 +200,7 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   stats.network_bytes = ring_bytes * nodes;
   stats.inter_node_s = network.TransferSeconds(ring_bytes);
 
-  PhiMatrix& global = SumNodeReplicas(node_replicas);
+  WordMajorPhi& global = SumNodeReplicas(node_replicas);
   const double end =
       BroadcastWithinNodes(node_groups, node_replicas, global, bytes,
                            intra_end + stats.inter_node_s);
@@ -260,7 +255,7 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   stats.network_bytes = fabric.payload_bytes() - payload_before;
   stats.inter_node_s = end - intra_end;
 
-  PhiMatrix& global = SumNodeReplicas(node_replicas);
+  WordMajorPhi& global = SumNodeReplicas(node_replicas);
   end = BroadcastWithinNodes(node_groups, node_replicas, global, bytes, end);
   stats.seconds = end - intra_start;
   return stats;

@@ -427,7 +427,7 @@ GatheredModel CuldaTrainer::Gather() const {
   }
   builder.Finish();
 
-  model.phi = replicas_[0].phi;
+  model.phi = replicas_[0].phi.TopicMajor();
   model.nk = replicas_[0].nk;
   return model;
 }

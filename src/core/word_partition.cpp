@@ -159,13 +159,13 @@ void WordPartitionTrainer::SynchronizeNk() {
                                 cfg_.phi_count_bytes() / ctx.grid_dim());
                  ctx.WriteGlobal(cfg_.num_topics * 4 / ctx.grid_dim());
                });
+    std::vector<int64_t> sums(cfg_.num_topics, 0);
+    for (uint32_t v = range.word_begin; v < range.word_end; ++v) {
+      const auto counts = phi_[g].phi.Word(v);
+      for (uint32_t k = 0; k < cfg_.num_topics; ++k) sums[k] += counts[k];
+    }
     for (uint32_t k = 0; k < cfg_.num_topics; ++k) {
-      int64_t sum = 0;
-      const auto row = phi_[g].phi.Row(k);
-      for (uint32_t v = range.word_begin; v < range.word_end; ++v) {
-        sum += row[v];
-      }
-      nk[k] += static_cast<int32_t>(sum);
+      nk[k] += static_cast<int32_t>(sums[k]);
     }
   }
   if (g_count > 1) {
@@ -230,14 +230,8 @@ GatheredModel WordPartitionTrainer::Gather() const {
   model.phi = PhiMatrix(cfg_.num_topics, corpus_->vocab_size());
   // Stitch the exclusive column ranges together.
   for (size_t g = 0; g < group_.size(); ++g) {
-    const auto& range = ranges_[g];
-    for (uint32_t k = 0; k < cfg_.num_topics; ++k) {
-      const auto src = phi_[g].phi.Row(k);
-      auto dst = model.phi.Row(k);
-      for (uint32_t v = range.word_begin; v < range.word_end; ++v) {
-        dst[v] = src[v];
-      }
-    }
+    phi_[g].phi.CopyToTopicMajor(model.phi, ranges_[g].word_begin,
+                                 ranges_[g].word_end);
   }
   model.nk = phi_[0].nk;
   return model;

@@ -297,13 +297,11 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
   }
   // Copies canonical's shard-s columns into node n's sampling view.
   auto refresh_view = [&](size_t n, size_t s) {
-    const uint32_t wb = shards_[s].word_begin;
-    const uint32_t we = shards_[s].word_end;
-    for (uint32_t k = 0; k < cfg_.num_topics; ++k) {
-      const auto src = canonical_.phi.Row(k);
-      auto dst = views_[n].phi.Row(k);
-      std::copy(src.begin() + wb, src.begin() + we, dst.begin() + wb);
-    }
+    const auto src = canonical_.phi.Words(shards_[s].word_begin,
+                                          shards_[s].word_end);
+    std::copy(src.begin(), src.end(),
+              views_[n].phi.Words(shards_[s].word_begin,
+                                  shards_[s].word_end).begin());
   };
 
   // --- Phase A: shard routing (sequential in node order — all fabric
@@ -496,10 +494,10 @@ core::GatheredModel ClusterTrainer::Gather() const {
   }
   builder.Finish();
   if (opts_.mode == DistMode::kAsync) {
-    model.phi = canonical_.phi;
+    model.phi = canonical_.phi.TopicMajor();
     model.nk = canonical_.nk;
   } else {
-    model.phi = replicas_[0][0].phi;
+    model.phi = replicas_[0][0].phi.TopicMajor();
     model.nk = replicas_[0][0].nk;
   }
   return model;

@@ -48,14 +48,6 @@ class DenseMatrix {
 
   void Fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
-  /// Element-wise accumulate: this += other. Sizes must match. Used by the
-  /// CPU-side reference for φ synchronization (the ablation baseline the
-  /// reduce tree is compared against).
-  void Accumulate(const DenseMatrix& other) {
-    CULDA_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-    for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;

@@ -24,6 +24,30 @@ std::string Cell(uint32_t k, uint32_t v) {
   return os.str();
 }
 
+/// nk-matches-phi over any φ layout indexed as phi(k, v): the device
+/// replicas (word-major) and a served model (topic-major) share it.
+template <typename Phi>
+void CheckNkMatchesCounts(const Phi& phi, uint32_t num_topics,
+                          uint32_t vocab_size, std::span<const int32_t> nk,
+                          std::string_view context) {
+  if (nk.size() != num_topics) {
+    std::ostringstream os;
+    os << "n_k has " << nk.size() << " entries for " << num_topics
+       << " topics";
+    Fail("nk-matches-phi", context, os.str());
+  }
+  for (uint32_t k = 0; k < num_topics; ++k) {
+    int64_t sum = 0;
+    for (uint32_t v = 0; v < vocab_size; ++v) sum += phi(k, v);
+    if (sum != nk[k]) {
+      std::ostringstream os;
+      os << "n_k[" << k << "] = " << nk[k] << " but φ row " << k
+         << " sums to " << sum;
+      Fail("nk-matches-phi", context, os.str());
+    }
+  }
+}
+
 }  // namespace
 
 void CheckChunkLayout(const corpus::Corpus& corpus,
@@ -151,30 +175,14 @@ void CheckThetaMatchesZ(const core::CuldaConfig& cfg,
 
 void CheckNkMatchesPhi(const core::PhiReplica& replica,
                        std::string_view context) {
-  if (replica.nk.size() != replica.num_topics) {
-    std::ostringstream os;
-    os << "n_k has " << replica.nk.size() << " entries for "
-       << replica.num_topics << " topics";
-    Fail("nk-matches-phi", context, os.str());
-  }
-  for (uint32_t k = 0; k < replica.num_topics; ++k) {
-    int64_t sum = 0;
-    for (const uint16_t c : replica.phi.Row(k)) sum += c;
-    if (sum != replica.nk[k]) {
-      std::ostringstream os;
-      os << "n_k[" << k << "] = " << replica.nk[k] << " but φ row " << k
-         << " sums to " << sum;
-      Fail("nk-matches-phi", context, os.str());
-    }
-  }
+  CheckNkMatchesCounts(replica.phi, replica.num_topics, replica.vocab_size,
+                       replica.nk, context);
 }
 
 void CheckPhiTotalTokens(const core::PhiReplica& replica,
                          uint64_t expected_tokens, std::string_view context) {
   uint64_t total = 0;
-  for (uint32_t k = 0; k < replica.num_topics; ++k) {
-    for (const uint16_t c : replica.phi.Row(k)) total += c;
-  }
+  for (const uint16_t c : replica.phi.flat()) total += c;
   if (total != expected_tokens) {
     std::ostringstream os;
     os << "ΣΣ φ = " << total << " but the corpus has " << expected_tokens
@@ -203,11 +211,11 @@ void CheckPhiMatchesZ(std::span<const core::ChunkState> chunks,
     }
   }
   for (uint32_t k = 0; k < K; ++k) {
-    const auto row = replica.phi.Row(k);
     for (uint32_t v = 0; v < V; ++v) {
-      if (row[v] != expected[static_cast<size_t>(k) * V + v]) {
+      if (replica.phi(k, v) != expected[static_cast<size_t>(k) * V + v]) {
         std::ostringstream os;
-        os << "φ" << Cell(k, v) << " = " << row[v] << " but z assigns "
+        os << "φ" << Cell(k, v) << " = " << replica.phi(k, v)
+           << " but z assigns "
            << expected[static_cast<size_t>(k) * V + v]
            << " tokens of that word to that topic";
         Fail("phi-matches-z", context, os.str());
@@ -221,11 +229,11 @@ void CheckPhiSaturationMargin(const core::PhiReplica& replica,
   if (margin == 0) return;
   const uint32_t ceiling = margin >= 0xFFFF ? 0 : 0xFFFF - margin;
   for (uint32_t k = 0; k < replica.num_topics; ++k) {
-    const auto row = replica.phi.Row(k);
     for (uint32_t v = 0; v < replica.vocab_size; ++v) {
-      if (row[v] >= ceiling) {
+      if (replica.phi(k, v) >= ceiling) {
         std::ostringstream os;
-        os << "φ" << Cell(k, v) << " = " << row[v] << " is within "
+        os << "φ" << Cell(k, v) << " = " << replica.phi(k, v)
+           << " is within "
            << margin << " of the 16-bit ceiling (65535); the compressed "
            << "counts of §6.1.3 are about to wrap";
         Fail("phi-saturation-margin", context, os.str());
@@ -249,17 +257,15 @@ void CheckReplicasAgree(std::span<const core::PhiReplica> replicas) {
          << first.vocab_size;
       Fail("phi-replicas-agree", {}, os.str());
     }
-    const auto a = first.phi.flat();
-    const auto b = other.phi.flat();
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i] != b[i]) {
-        std::ostringstream os;
-        os << "device " << g << " φ"
-           << Cell(static_cast<uint32_t>(i / first.vocab_size),
-                   static_cast<uint32_t>(i % first.vocab_size))
-           << " = " << b[i] << " but device 0 holds " << a[i]
-           << " (post-sync replicas must be identical)";
-        Fail("phi-replicas-agree", {}, os.str());
+    for (uint32_t k = 0; k < first.num_topics; ++k) {
+      for (uint32_t v = 0; v < first.vocab_size; ++v) {
+        if (first.phi(k, v) != other.phi(k, v)) {
+          std::ostringstream os;
+          os << "device " << g << " φ" << Cell(k, v) << " = "
+             << other.phi(k, v) << " but device 0 holds " << first.phi(k, v)
+             << " (post-sync replicas must be identical)";
+          Fail("phi-replicas-agree", {}, os.str());
+        }
       }
     }
     for (uint32_t k = 0; k < first.num_topics; ++k) {
@@ -342,10 +348,8 @@ void ValidateServedModel(const core::GatheredModel& model) {
        << model.vocab_size;
     Fail("model-consistency", {}, os.str());
   }
-  core::PhiReplica view(model.num_topics, model.vocab_size);
-  view.phi = model.phi;
-  view.nk = model.nk;
-  CheckNkMatchesPhi(view, "served model");
+  CheckNkMatchesCounts(model.phi, model.num_topics, model.vocab_size,
+                       model.nk, "served model");
 }
 
 }  // namespace culda::validate

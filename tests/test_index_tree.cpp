@@ -1,9 +1,12 @@
 // Tests for the F-ary index-tree sampler (Figure 5): the search must agree
-// exactly with a linear scan of the prefix sums, for every fanout and size.
+// exactly with a linear scan of the prefix sums, for every fanout and size,
+// and the leaf-only walk must inspect exactly the entries a stored tree does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/index_tree.hpp"
@@ -238,6 +241,130 @@ TEST(IndexTree, EmptyTreeSearchRejected) {
   IndexTree tree(0, 32);
   EXPECT_EQ(tree.view().Build({}), 0.0f);
   EXPECT_THROW(tree.view().Search(0.0f), Error);
+}
+
+// ------------------------------------------------ leaf-walk equivalence
+// SearchPrefixTree never stores the internal levels; it reads internal
+// entry i of level l as prefix[min(n, (i+1)·F^l) − 1]. The oracle below is
+// the stored-tree walk it replaced: every level materialized bottom-up,
+// searched top-down. Both must return the same index after the same number
+// of comparisons (the count the kernels bill), on every input.
+
+class StoredTreeOracle {
+ public:
+  StoredTreeOracle(const std::vector<float>& prefix, uint32_t fanout)
+      : fanout_(fanout) {
+    levels_.push_back(prefix);
+    while (levels_.back().size() > fanout) {
+      const std::vector<float>& below = levels_.back();
+      std::vector<float> level((below.size() + fanout - 1) / fanout);
+      for (size_t i = 0; i < level.size(); ++i) {
+        level[i] = below[std::min(below.size(), (i + 1) * fanout) - 1];
+      }
+      levels_.push_back(std::move(level));
+    }
+  }
+
+  size_t Search(float u, uint64_t* comparisons) const {
+    uint64_t inspected = 0;
+    size_t group_begin = 0;
+    for (size_t l = levels_.size(); l-- > 0;) {
+      const std::vector<float>& level = levels_[l];
+      const size_t group_end = std::min(level.size(), group_begin + fanout_);
+      size_t chosen = group_end - 1;
+      for (size_t i = group_begin; i < group_end; ++i) {
+        ++inspected;
+        if (level[i] > u) {
+          chosen = i;
+          break;
+        }
+      }
+      if (l == 0) {
+        *comparisons = inspected;
+        return chosen;
+      }
+      group_begin = chosen * fanout_;
+    }
+    return 0;  // unreachable: level 0 always returns
+  }
+
+ private:
+  uint32_t fanout_;
+  std::vector<std::vector<float>> levels_;
+};
+
+/// Distribution shapes with zeros and ties: random with 30 % zeros; values
+/// from {0, 0.5, 1} (many equal prefixes); one non-zero; zero runs at both
+/// ends around a constant middle.
+std::vector<float> ShapedDistribution(size_t n, int shape, uint64_t seed) {
+  PhiloxStream rng(seed, static_cast<uint64_t>(shape));
+  std::vector<float> p(n, 0.0f);
+  switch (shape) {
+    case 0:
+      for (auto& x : p) {
+        x = rng.NextDouble() < 0.3 ? 0.0f : rng.NextFloat() + 1e-3f;
+      }
+      break;
+    case 1:
+      for (auto& x : p) x = 0.5f * static_cast<float>(rng.NextBelow(3));
+      break;
+    case 2:
+      p[rng.NextBelow(static_cast<uint32_t>(n))] = 0.75f;
+      break;
+    default:
+      for (size_t i = n / 3; i < std::max(n / 3 + 1, 2 * n / 3); ++i) {
+        p[i] = 0.25f;
+      }
+      break;
+  }
+  return p;
+}
+
+TEST(LeafWalk, MatchesStoredTreeWalkIndexAndComparisons) {
+  for (const uint32_t fanout : {2u, 3u, 8u, 32u}) {
+    const size_t f = fanout;
+    for (const size_t n : {size_t{1}, f - 1, f, f + 1, f * f, f * f + 1,
+                           size_t{1024}}) {
+      if (n == 0) continue;
+      for (int shape = 0; shape < 4; ++shape) {
+        std::vector<float> p = ShapedDistribution(n, shape, 1000 * n + f);
+        std::vector<float> prefix(n);
+        float acc = 0;
+        for (size_t i = 0; i < n; ++i) prefix[i] = acc += p[i];
+        if (acc <= 0.0f) continue;  // sampling needs positive mass
+        const StoredTreeOracle oracle(prefix, fanout);
+        IndexTree tree(n, fanout);
+        EXPECT_EQ(tree.view().Build(p), acc);
+
+        // 0, every prefix value exactly, a point inside every gap between
+        // consecutive distinct prefixes, random interior points, and at or
+        // above the total mass (the clamp path).
+        std::vector<float> points{0.0f, acc, std::nextafter(acc, 2 * acc),
+                                  acc * 1.5f};
+        for (size_t i = 0; i < n; ++i) {
+          points.push_back(prefix[i]);
+          if (i > 0 && prefix[i] > prefix[i - 1]) {
+            points.push_back(prefix[i - 1] + (prefix[i] - prefix[i - 1]) / 2);
+          }
+        }
+        PhiloxStream rng(17, n * 64 + fanout);
+        for (int i = 0; i < 64; ++i) points.push_back(rng.NextFloat() * acc);
+
+        for (const float u : points) {
+          SCOPED_TRACE("fanout=" + std::to_string(fanout) +
+                       " n=" + std::to_string(n) +
+                       " shape=" + std::to_string(shape) +
+                       " u=" + std::to_string(u));
+          uint64_t want_cmp = 0, got_cmp = 0, view_cmp = 0;
+          const size_t want = oracle.Search(u, &want_cmp);
+          EXPECT_EQ(SearchPrefixTree(prefix, fanout, u, &got_cmp), want);
+          EXPECT_EQ(got_cmp, want_cmp);
+          EXPECT_EQ(tree.view().Search(u, &view_cmp), want);
+          EXPECT_EQ(view_cmp, want_cmp);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -70,7 +70,9 @@ TEST(UpdatePhi, NkMatchesPhiRowSums) {
   Fixture f;
   for (uint32_t k = 0; k < f.cfg.num_topics; ++k) {
     int64_t sum = 0;
-    for (const uint16_t c : f.replica.phi.Row(k)) sum += c;
+    for (uint32_t v = 0; v < f.corpus.vocab_size(); ++v) {
+      sum += f.replica.phi(k, v);
+    }
     EXPECT_EQ(f.replica.nk[k], sum);
   }
 }
@@ -271,7 +273,9 @@ TEST(ComputeNk, MatchesRowSums) {
   RunComputeNkKernel(f.device, f.cfg, f.replica);
   for (uint32_t k = 0; k < f.cfg.num_topics; ++k) {
     int64_t sum = 0;
-    for (const uint16_t c : f.replica.phi.Row(k)) sum += c;
+    for (uint32_t v = 0; v < f.corpus.vocab_size(); ++v) {
+      sum += f.replica.phi(k, v);
+    }
     EXPECT_EQ(f.replica.nk[k], sum);
   }
 }

@@ -120,20 +120,6 @@ TEST(Dense, FillAndIndex) {
   EXPECT_EQ(m.Row(1)[2], 9);
 }
 
-TEST(Dense, AccumulateAdds) {
-  DenseMatrix<uint16_t> a(2, 2), b(2, 2);
-  a.Fill(1);
-  b.Fill(2);
-  a.Accumulate(b);
-  EXPECT_EQ(a(0, 0), 3);
-  EXPECT_EQ(a(1, 1), 3);
-}
-
-TEST(Dense, AccumulateShapeChecked) {
-  DenseMatrix<int> a(2, 2), b(2, 3);
-  EXPECT_THROW(a.Accumulate(b), Error);
-}
-
 TEST(Dense, TotalBytes) {
   DenseMatrix<uint16_t> m(10, 20);
   EXPECT_EQ(m.TotalBytes(), 400u);
