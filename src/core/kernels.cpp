@@ -571,16 +571,20 @@ gpusim::KernelRecord RunZeroPhiKernel(gpusim::Device& device,
                                       const CuldaConfig& cfg,
                                       PhiReplica& replica,
                                       gpusim::Stream* stream) {
+  replica.Clear();
+  return BillZeroPhiKernel(device, cfg, replica, stream);
+}
+
+gpusim::KernelRecord BillZeroPhiKernel(gpusim::Device& device,
+                                       const CuldaConfig& cfg,
+                                       const PhiReplica& replica,
+                                       gpusim::Stream* stream) {
   const uint64_t cells =
       static_cast<uint64_t>(replica.num_topics) * replica.vocab_size;
   const gpusim::LaunchConfig lc{
       static_cast<uint32_t>(std::max<uint64_t>(1, cells / (1 << 16))), 1024,
       kStreamMemDerate};
   auto body = [&](gpusim::BlockContext& ctx) {
-    if (ctx.block_id() == 0) {
-      replica.phi.Fill(0);
-      std::fill(replica.nk.begin(), replica.nk.end(), 0);
-    }
     // Billed evenly across blocks.
     ctx.WriteGlobal(cells * cfg.phi_count_bytes() / ctx.grid_dim());
   };
@@ -748,11 +752,18 @@ gpusim::KernelRecord RunComputeNkKernel(gpusim::Device& device,
                                         const CuldaConfig& cfg,
                                         PhiReplica& replica,
                                         gpusim::Stream* stream) {
+  replica.RecomputeTotals();
+  return BillComputeNkKernel(device, cfg, replica, stream);
+}
+
+gpusim::KernelRecord BillComputeNkKernel(gpusim::Device& device,
+                                         const CuldaConfig& cfg,
+                                         const PhiReplica& replica,
+                                         gpusim::Stream* stream) {
   const uint32_t K = replica.num_topics;
   const gpusim::LaunchConfig lc{std::max(1u, K / 4), 128,
                                 kStreamMemDerate};
   auto body = [&](gpusim::BlockContext& ctx) {
-    if (ctx.block_id() == 0) replica.RecomputeTotals();
     const uint64_t rows_here = K / ctx.grid_dim() +
                                (ctx.block_id() < K % ctx.grid_dim());
     ctx.ReadGlobal(rows_here * replica.vocab_size * cfg.phi_count_bytes());

@@ -71,11 +71,20 @@ gpusim::KernelRecord RunSamplingKernel(
     gpusim::Stream* stream = nullptr, SamplingStepCounters* steps = nullptr,
     TrainSampler sampler = TrainSampler::kTree, uint32_t mh_cycles = 1);
 
-/// Zeroes the φ replica (counts and totals).
+/// Zeroes the φ replica (counts and totals): PhiReplica::Clear, then
+/// BillZeroPhiKernel.
 gpusim::KernelRecord RunZeroPhiKernel(gpusim::Device& device,
                                       const CuldaConfig& cfg,
                                       PhiReplica& replica,
                                       gpusim::Stream* stream = nullptr);
+
+/// The billing half of RunZeroPhiKernel: launches and bills zeroing a
+/// replica of `replica`'s shape on `device`, without touching it. For a
+/// caller whose one host φ stands for several device replicas.
+gpusim::KernelRecord BillZeroPhiKernel(gpusim::Device& device,
+                                       const CuldaConfig& cfg,
+                                       const PhiReplica& replica,
+                                       gpusim::Stream* stream = nullptr);
 
 /// Accumulates chunk.z into the φ replica with atomic adds.
 gpusim::KernelRecord RunUpdatePhiKernel(gpusim::Device& device,
@@ -102,10 +111,18 @@ gpusim::KernelRecord RunUpdateThetaDeltaKernel(
     gpusim::Device& device, const CuldaConfig& cfg, ChunkState& chunk,
     uint64_t touched_tokens, gpusim::Stream* stream = nullptr);
 
-/// Recomputes replica.nk from replica.phi.
+/// Recomputes replica.nk from replica.phi: PhiReplica::RecomputeTotals,
+/// then BillComputeNkKernel.
 gpusim::KernelRecord RunComputeNkKernel(gpusim::Device& device,
                                         const CuldaConfig& cfg,
                                         PhiReplica& replica,
                                         gpusim::Stream* stream = nullptr);
+
+/// The billing half of RunComputeNkKernel: launches and bills the n_k pass
+/// over `replica` on `device`, without touching it.
+gpusim::KernelRecord BillComputeNkKernel(gpusim::Device& device,
+                                         const CuldaConfig& cfg,
+                                         const PhiReplica& replica,
+                                         gpusim::Stream* stream = nullptr);
 
 }  // namespace culda::core

@@ -8,8 +8,8 @@
 // Data representations follow Section 6.1.3: θ is CSR with 16-bit topic
 // indices; φ is a dense K×V matrix of 16-bit counts; per-topic totals
 // n_k = Σ_v φ_kv are 32-bit (they exceed 2^16 on any real corpus). The
-// simulator's host copies of the per-device φ replicas are stored word-major
-// (WordMajorPhi below); the billed device model is still the dense K×V one.
+// simulator's host copies of φ are stored word-major (WordMajorPhi below);
+// the billed device model is still the dense K×V one.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,10 @@
 #include "corpus/word_first.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
+
+namespace culda {
+class ThreadPool;
+}  // namespace culda
 
 namespace culda::core {
 
@@ -115,15 +119,13 @@ struct PhiReplica {
   PhiReplica(uint32_t k, uint32_t v)
       : num_topics(k), vocab_size(v), phi(k, v), nk(k, 0) {}
 
-  uint64_t PhiBytes(const CuldaConfig& cfg) const {
-    return static_cast<uint64_t>(num_topics) * vocab_size *
-               cfg.phi_count_bytes() +
-           nk.size() * sizeof(int32_t);
-  }
+  /// Zeroes φ and n_k (the functional half of the zero_phi kernel).
+  void Clear();
 
-  /// Recomputes n_k from φ (host-side reference; the kernel variant bills
-  /// its traffic through the device).
-  void RecomputeTotals();
+  /// Recomputes n_k from φ (the functional half of the compute_nk kernel,
+  /// which bills its traffic through the device). With a pool, fixed word
+  /// tiles are summed in parallel; the totals are the same bits either way.
+  void RecomputeTotals(ThreadPool* pool = nullptr);
 };
 
 /// The full trained model gathered back to the host (Algorithm 1 lines

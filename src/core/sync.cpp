@@ -40,17 +40,35 @@ void BillAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
                 stream);
 }
 
+/// The functional half of SynchronizePhi: every replica ends holding the
+/// element-wise sum of all of them.
+void SumReplicas(std::vector<PhiReplica>& replicas) {
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    AddReplica(replicas[0].phi, replicas[i].phi);
+  }
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    replicas[i].phi = replicas[0].phi;
+  }
+}
+
 }  // namespace
 
 SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
                          std::vector<PhiReplica>& replicas, SyncMode mode) {
+  CULDA_CHECK(replicas.size() == group.size());
+  SumReplicas(replicas);
+  return BillSynchronizePhi(group, cfg, replicas[0], mode);
+}
+
+SyncStats BillSynchronizePhi(gpusim::DeviceGroup& group,
+                             const CuldaConfig& cfg,
+                             const PhiReplica& replica, SyncMode mode) {
   const size_t g_count = group.size();
-  CULDA_CHECK(replicas.size() == g_count);
   SyncStats stats;
   if (g_count == 1) return stats;
 
-  const uint64_t cells = static_cast<uint64_t>(replicas[0].num_topics) *
-                         replicas[0].vocab_size;
+  const uint64_t cells =
+      static_cast<uint64_t>(replica.num_topics) * replica.vocab_size;
   const uint64_t bytes = cells * cfg.phi_count_bytes();
   const double start = group.Now();
 
@@ -62,7 +80,6 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       for (size_t i = 0; i + step < g_count; i += 2 * step) {
         group.PeerTransfer(i + step, i, bytes);
         stats.peer_bytes += bytes;
-        AddReplica(replicas[i].phi, replicas[i + step].phi);
         BillAddKernel(group.device(i), cfg, cells, nullptr);
       }
     }
@@ -73,7 +90,6 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       for (size_t i = 0; i + step < g_count; i += 2 * step) {
         group.PeerTransfer(i, i + step, bytes);
         stats.peer_bytes += bytes;
-        replicas[i + step].phi = replicas[i].phi;
       }
       if (step == 1) break;
     }
@@ -92,14 +108,10 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       dev.stream(0).WaitUntil(host_clock);
       stats.host_bytes += bytes;
     }
-    for (size_t i = 1; i < g_count; ++i) {
-      AddReplica(replicas[0].phi, replicas[i].phi);
-    }
     const gpusim::DeviceSpec cpu = gpusim::XeonCpu();
     host_clock += static_cast<double>(g_count + 1) * bytes /
                   cpu.EffectiveBandwidthBps();
     for (size_t i = 0; i < g_count; ++i) {
-      if (i != 0) replicas[i].phi = replicas[0].phi;
       gpusim::Device& dev = group.device(i);
       host_clock += dev.host_link().TransferSeconds(bytes);
       dev.stream(0).WaitUntil(host_clock);

@@ -31,10 +31,22 @@ struct SyncStats {
 /// Synchronizes the φ replicas: on return, every replica holds the global
 /// element-wise sum (n_k is NOT recomputed here — run the compute_nk kernel
 /// after, which the trainer overlaps with the θ update).
-/// `replicas.size()` must equal `group.size()`.
+/// `replicas.size()` must equal `group.size()`. The host sums the replicas
+/// in index order (integer addition makes that the reduce tree's result; a
+/// count past 16 bits throws), then BillSynchronizePhi bills the sync.
 SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
                          std::vector<PhiReplica>& replicas,
                          SyncMode mode = SyncMode::kGpuTree);
+
+/// The billing half of SynchronizePhi: bills synchronizing one φ replica of
+/// `replica`'s shape per device of `group` — the peer transfers and
+/// phi_reduce_add launches of the tree, or the kCpuSum host-link clock —
+/// without touching any φ. For a caller whose one host φ already holds the
+/// global sum on behalf of every device.
+SyncStats BillSynchronizePhi(gpusim::DeviceGroup& group,
+                             const CuldaConfig& cfg,
+                             const PhiReplica& replica,
+                             SyncMode mode = SyncMode::kGpuTree);
 
 /// Extension (the paper's "comparable or better than distributed systems"
 /// thesis, made quantitative): hierarchical φ synchronization across

@@ -156,16 +156,15 @@ void CuldaTrainer::BuildChunks() {
   }
 
   // Charge resident footprints against device capacity. WS1 keeps all of a
-  // GPU's chunks resident; WS2 keeps two chunk slots (double buffer). φ is
-  // double-buffered (read replica + accumulator).
-  replicas_.clear();
-  accum_.clear();
+  // GPU's chunks resident; WS2 keeps two chunk slots (double buffer). Every
+  // device holds a double-buffered φ (read replica + accumulator), even
+  // though the host keeps one of each for all of them.
+  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
+  accum_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
   footprints_.clear();
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
-    replicas_.emplace_back(cfg_.num_topics, corpus_->vocab_size());
-    accum_.emplace_back(cfg_.num_topics, corpus_->vocab_size());
     footprints_.push_back(dev.Alloc<std::byte>(
         2 * PhiFootprintBytes(cfg_, corpus_->vocab_size()), "phi_replica"));
     if (m_ == 1) {
@@ -188,22 +187,22 @@ void CuldaTrainer::InitializeModel() { RebuildCountsFromZ(); }
 void CuldaTrainer::RebuildCountsFromZ() {
   CULDA_OBS_SPAN("train/rebuild_counts");
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  // Counts from the current assignment: θ per chunk, φ per device. Each
-  // device touches only its own chunks and replica, so the rebuild runs
-  // device-parallel up to the φ sync point.
+  // Counts from the current assignment: θ per chunk, φ from every device
+  // into the one host model. Each device touches only its own chunks, and
+  // its φ adds are atomic, so the rebuild runs device-parallel up to the φ
+  // sync point, which then has nothing left to add.
+  model_.Clear();
   ForEachDevice([&](size_t g) {
     gpusim::Device& dev = group_.device(g);
-    RunZeroPhiKernel(dev, cfg_, replicas_[g]);
+    BillZeroPhiKernel(dev, cfg_, model_);
     for (uint32_t m = 0; m < m_; ++m) {
       ChunkState& chunk = chunks_[m * g_count + g];
-      RunUpdatePhiKernel(dev, cfg_, chunk, replicas_[g]);
+      RunUpdatePhiKernel(dev, cfg_, chunk, model_);
       RunUpdateThetaKernel(dev, cfg_, chunk);
     }
   });
-  SynchronizePhi(group_, cfg_, replicas_, opts_.sync_mode);
-  ForEachDevice([&](size_t g) {
-    RunComputeNkKernel(group_.device(g), cfg_, replicas_[g]);
-  });
+  BillSynchronizePhi(group_, cfg_, model_, opts_.sync_mode);
+  ComputeNk();
   group_.Barrier();
   // Covers every path that rewrites the counts wholesale: construction,
   // checkpoint restore, and ImportAssignments.
@@ -238,8 +237,8 @@ IterationStats CuldaTrainer::Step() {
     }
   });
   SyncAndFinishIteration(stats);
-  // Post-sync: the replicas hold the global counts again, so the full
-  // inventory (φ vs z, replica agreement, saturation margin) applies.
+  // Post-sync: the model holds the global counts again, so the full
+  // inventory (φ vs z, saturation margin) applies.
   CULDA_VALIDATE_HOOK(if (opts_.validate) ValidateState());
 
   stats.sim_seconds = group_.Now() - t0;
@@ -282,6 +281,8 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
   CULDA_OBS_SPAN("train/ws1");
   CULDA_OBS_TIMED("train.schedule_wall_s");
   std::vector<DevicePartial> partials(group_.size());
+  // Zeroed once for every device; each device still bills its zero_phi.
+  accum_.Clear();
   ForEachDevice([&](size_t g) {
     CULDA_OBS_SPAN("train/ws1 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
@@ -290,19 +291,18 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
     gpusim::Stream& compute = dev.stream(0);
 
     const auto sampling = RunSamplingKernel(
-        dev, cfg_, chunk, replicas_[g], iteration_ + 1, &compute,
+        dev, cfg_, chunk, model_, iteration_ + 1, &compute,
         opts_.collect_step_counters ? &part.steps : nullptr, opts_.sampler,
         opts_.mh_cycles);
     part.sampling_s += sampling.time.total_s;
 
     // φ first, so its sync can start while θ updates (Section 6.2). New
-    // counts accumulate into the double buffer; the read replica stays
+    // counts accumulate into the double buffer; the read model stays
     // intact for any chunk still sampling.
     part.update_phi_s +=
-        RunZeroPhiKernel(dev, cfg_, accum_[g], &compute).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, accum_, &compute).time.total_s;
     part.update_phi_s +=
-        RunUpdatePhiKernel(dev, cfg_, chunk, accum_[g], &compute)
-            .time.total_s;
+        RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute).time.total_s;
 
     gpusim::Stream& theta_stream =
         opts_.overlap_theta_with_sync ? dev.stream(1) : compute;
@@ -323,6 +323,8 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
   CULDA_OBS_TIMED("train.schedule_wall_s");
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   std::vector<DevicePartial> partials(group_.size());
+  // Zeroed once for every device; each device still bills its zero_phi.
+  accum_.Clear();
   ForEachDevice([&](size_t g) {
     CULDA_OBS_SPAN("train/ws2 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
@@ -337,7 +339,7 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
         opts_.overlap_transfers ? dev.stream(2) : compute;
 
     part.update_phi_s +=
-        RunZeroPhiKernel(dev, cfg_, accum_[g], &compute).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, accum_, &compute).time.total_s;
 
     for (uint32_t m = 0; m < m_; ++m) {
       ChunkState& chunk = chunks_[m * g_count + g];
@@ -348,13 +350,12 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
       compute.WaitUntil(up_done);
 
       const auto sampling = RunSamplingKernel(
-          dev, cfg_, chunk, replicas_[g], iteration_ + 1, &compute,
+          dev, cfg_, chunk, model_, iteration_ + 1, &compute,
           opts_.collect_step_counters ? &part.steps : nullptr, opts_.sampler,
           opts_.mh_cycles);
       part.sampling_s += sampling.time.total_s;
       part.update_phi_s +=
-          RunUpdatePhiKernel(dev, cfg_, chunk, accum_[g], &compute)
-              .time.total_s;
+          RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute).time.total_s;
       part.update_theta_s +=
           RunUpdateThetaKernel(dev, cfg_, chunk, &compute).time.total_s;
 
@@ -380,23 +381,33 @@ void CuldaTrainer::SyncAndFinishIteration(IterationStats& stats) {
   CULDA_OBS_TIMED("train.sync_wall_s");
   {
     CULDA_OBS_SPAN("train/phi_sync");
-    const auto sync = SynchronizePhi(group_, cfg_, accum_, opts_.sync_mode);
+    // Every device added into the one accumulator, so it already holds the
+    // global sum; what is left is to bill the sync of G replicas.
+    const auto sync =
+        BillSynchronizePhi(group_, cfg_, accum_, opts_.sync_mode);
     stats.sync_s += sync.seconds;
   }
-  // The synchronized accumulators become the next iteration's read model.
-  std::swap(replicas_, accum_);
+  // The synchronized accumulator becomes the next iteration's read model.
+  std::swap(model_, accum_);
   CULDA_OBS_SPAN("train/compute_nk");
-  std::vector<double> nk_s(group_.size(), 0.0);
-  ForEachDevice([&](size_t g) {
-    nk_s[g] = RunComputeNkKernel(group_.device(g), cfg_, replicas_[g])
-                  .time.total_s;
-  });
-  for (const double s : nk_s) stats.update_phi_s += s;
+  CULDA_OBS_TIMED("train.nk_wall_s");
+  for (const double s : ComputeNk()) stats.update_phi_s += s;
   group_.Barrier();
 }
 
+std::vector<double> CuldaTrainer::ComputeNk() {
+  model_.RecomputeTotals(opts_.pool);
+  std::vector<double> nk_s(group_.size(), 0.0);
+  ForEachDevice([&](size_t g) {
+    nk_s[g] =
+        BillComputeNkKernel(group_.device(g), cfg_, model_).time.total_s;
+  });
+  return nk_s;
+}
+
 void CuldaTrainer::ValidateState() const {
-  validate::ValidateModelState(*corpus_, cfg_, chunks_, replicas_);
+  validate::ValidateModelState(*corpus_, cfg_, chunks_,
+                               std::span<const PhiReplica>(&model_, 1));
 }
 
 std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {
@@ -427,8 +438,8 @@ GatheredModel CuldaTrainer::Gather() const {
   }
   builder.Finish();
 
-  model.phi = replicas_[0].phi.TopicMajor();
-  model.nk = replicas_[0].nk;
+  model.phi = model_.phi.TopicMajor();
+  model.nk = model_.nk;
   return model;
 }
 

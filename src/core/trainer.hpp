@@ -139,7 +139,7 @@ class CuldaTrainer {
   uint32_t iteration() const { return iteration_; }
 
   /// Checks the full invariant inventory over the current state (every
-  /// chunk's layout/z/θ, replica agreement, φ against z and the corpus);
+  /// chunk's layout/z/θ, φ against z and the corpus);
   /// throws validate::ValidationError naming the first violated invariant.
   /// Available in every build; the TrainerOptions::validate hooks call this
   /// automatically in -DCULDA_VALIDATE=ON builds.
@@ -193,6 +193,9 @@ class CuldaTrainer {
   void StepWs1(IterationStats& stats);
   void StepWs2(IterationStats& stats);
   void SyncAndFinishIteration(IterationStats& stats);
+  /// Computes model_'s n_k once on the host and bills the compute_nk kernel
+  /// on every device; returns the billed seconds per device.
+  std::vector<double> ComputeNk();
   uint64_t ChunkUploadBytes(const ChunkState& chunk) const;
 
   const corpus::Corpus* corpus_;
@@ -201,13 +204,18 @@ class CuldaTrainer {
   gpusim::DeviceGroup group_;
   uint32_t m_ = 1;  ///< chunks per GPU
   std::vector<ChunkState> chunks_;          ///< C = M × G entries
-  /// Double-buffered φ per GPU: `replicas_` is the synchronized model the
-  /// sampling kernel reads (iteration t−1); `accum_` collects the new counts
-  /// during iteration t and becomes `replicas_` after the sync. (The paper
-  /// does not spell this out, but reading and rebuilding φ in the same
+  /// Double-buffered φ, one host copy standing for every GPU's replica:
+  /// `model_` is the synchronized model every sampling kernel reads
+  /// (iteration t−1); `accum_` collects every device's new counts during
+  /// iteration t (update_phi's adds are atomic, so concurrent devices share
+  /// it) and becomes `model_` after the sync. After a sync all G device
+  /// replicas would hold the same bits, so the host keeps one; the kernels,
+  /// the sync and the memory footprint are still billed per device
+  /// (docs/simulator.md, "Functional vs billed work"). (The paper does not
+  /// spell out the double buffer, but reading and rebuilding φ in the same
   /// buffer while chunks stream through the GPU cannot work.)
-  std::vector<PhiReplica> replicas_;
-  std::vector<PhiReplica> accum_;
+  PhiReplica model_;
+  PhiReplica accum_;
   /// Capacity charges representing resident chunk + model footprints.
   std::vector<gpusim::DeviceBuffer<std::byte>> footprints_;
   std::vector<IterationStats> history_;

@@ -13,18 +13,28 @@
 // A deliberate change to the sampler, the RNG contract, or the cost model
 // changes these values; re-pin them in the same change and say why in
 // CHANGES.md. The failure message prints the observed hashes.
+//
+// The SharedPhi cases check the exact route CuldaTrainer takes for φ: one
+// host accumulator that every device's update_phi adds into concurrently,
+// and one pooled n_k pass. The label also puts them, and the pooled golden
+// run, under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <latch>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "core/word_partition.hpp"
+#include "corpus/chunking.hpp"
 #include "dist/cluster.hpp"
 #include "util/philox.hpp"
+#include "util/thread_pool.hpp"
 
 namespace culda::core {
 namespace {
@@ -145,16 +155,48 @@ CuldaConfig GoldenConfig() {
 
 constexpr uint32_t kIterations = 3;
 
-Digest RunCulda(const CuldaConfig& cfg, uint32_t gpus,
-                uint32_t chunks_per_gpu, TrainSampler sampler) {
+/// One CuldaTrainer golden run: its device count, schedule, sampler, sync
+/// route and host pool, and whether its counts are rebuilt once more.
+struct CuldaRun {
+  uint32_t gpus = 1;
+  uint32_t chunks_per_gpu = 1;
+  TrainSampler sampler = TrainSampler::kTree;
+  SyncMode sync_mode = SyncMode::kGpuTree;
+  /// Workers of a ThreadPool the trainer runs its devices on; 0 = none.
+  size_t pool_workers = 0;
+  /// Rebuild the counts once more after construction, from assignments
+  /// drawn on a seed of their own (ImportAssignments).
+  bool import_assignments = false;
+};
+
+/// Per-token topics drawn from Philox with a seed unrelated to the config's,
+/// in corpus document-major order.
+std::vector<uint16_t> ImportedAssignments(uint64_t tokens, uint32_t K) {
+  std::vector<uint16_t> z(tokens);
+  PhiloxStream rng(4242, 0);
+  for (uint16_t& topic : z) topic = static_cast<uint16_t>(rng.NextBelow(K));
+  return z;
+}
+
+Digest RunCulda(const CuldaConfig& cfg, const CuldaRun& run) {
   const auto corpus = GoldenCorpus();
+  std::unique_ptr<ThreadPool> pool;
+  if (run.pool_workers > 0) {
+    pool = std::make_unique<ThreadPool>(run.pool_workers);
+  }
   TrainerOptions opts;
-  opts.gpus.assign(gpus, gpusim::V100Volta());
-  opts.chunks_per_gpu = chunks_per_gpu;
-  opts.sampler = sampler;
+  opts.gpus.assign(run.gpus, gpusim::V100Volta());
+  opts.chunks_per_gpu = run.chunks_per_gpu;
+  opts.sampler = run.sampler;
+  opts.sync_mode = run.sync_mode;
+  opts.pool = pool.get();
   opts.mh_cycles = 2;
   opts.collect_step_counters = true;
   CuldaTrainer trainer(corpus, cfg, opts);
+  if (run.import_assignments) {
+    trainer.ImportAssignments(
+        ImportedAssignments(corpus.num_tokens(), cfg.num_topics));
+  }
   trainer.Train(kIterations);
 
   Digest d;
@@ -232,9 +274,24 @@ void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 Digest RunCase(const std::string& name) {
   CuldaConfig cfg = GoldenConfig();
-  if (name == "TreeWs1") return RunCulda(cfg, 2, 1, TrainSampler::kTree);
+  if (name == "TreeWs1") return RunCulda(cfg, {.gpus = 2});
   if (name == "AliasMhWs2") {
-    return RunCulda(cfg, 2, 3, TrainSampler::kAliasMH);
+    return RunCulda(cfg, {.gpus = 2,
+                          .chunks_per_gpu = 3,
+                          .sampler = TrainSampler::kAliasMH});
+  }
+  // Devices running concurrently on a pool; an odd device count (the
+  // reduce tree's unpaired replica); the CPU-side sum (ablation A5); and a
+  // count rebuild after construction.
+  if (name == "TreeWs1Pool") {
+    return RunCulda(cfg, {.gpus = 2, .pool_workers = 3});
+  }
+  if (name == "TreeWs1Gpus3") return RunCulda(cfg, {.gpus = 3});
+  if (name == "CpuSumWs1") {
+    return RunCulda(cfg, {.gpus = 2, .sync_mode = SyncMode::kCpuSum});
+  }
+  if (name == "ImportAssignments") {
+    return RunCulda(cfg, {.gpus = 2, .import_assignments = true});
   }
   // The kernel-config toggles run on one GPU (one chunk) in WS1.
   if (name == "Fanout2") cfg.tree_fanout = 2;
@@ -246,7 +303,7 @@ Digest RunCase(const std::string& name) {
   if (name == "WordPartition") return RunWordPartition();
   if (name == "ClusterSync") return RunCluster(dist::DistMode::kSync);
   if (name == "ClusterAsync") return RunCluster(dist::DistMode::kAsync);
-  return RunCulda(cfg, 1, 1, TrainSampler::kTree);
+  return RunCulda(cfg, {});
 }
 
 class Golden : public ::testing::TestWithParam<GoldenCase> {};
@@ -269,6 +326,18 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"AliasMhWs2",
                    {0xcf71c1df812655a1ull, 0x236d1eaad435d598ull,
                     0x6dcd2e9fe82f1de1ull, 0xbc599935afa69dabull}},
+        GoldenCase{"TreeWs1Pool",
+                   {0x9ab1b9cae2fe7aaeull, 0x9211f43799c917b7ull,
+                    0x77b9bbbfe98a3617ull, 0xccb0d24ff378e8ebull}},
+        GoldenCase{"TreeWs1Gpus3",
+                   {0x9ab1b9cae2fe7aaeull, 0x9211f43799c917b7ull,
+                    0x77b9bbbfe98a3617ull, 0x2eab6aac73709af0ull}},
+        GoldenCase{"CpuSumWs1",
+                   {0x9ab1b9cae2fe7aaeull, 0x9211f43799c917b7ull,
+                    0x77b9bbbfe98a3617ull, 0xf13e61ae030f513aull}},
+        GoldenCase{"ImportAssignments",
+                   {0x7af5c02e46f8083eull, 0x1c499ff7466a35c3ull,
+                    0xbb1ca202e246eaefull, 0x7560af776f8947ffull}},
         GoldenCase{"Fanout2",
                    {0x9ab1b9cae2fe7aaeull, 0x9211f43799c917b7ull,
                     0x77b9bbbfe98a3617ull, 0xc87bb96cbf9820fcull}},
@@ -297,6 +366,89 @@ INSTANTIATE_TEST_SUITE_P(
                    {0x860738cc8349a378ull, 0x36d2673e76357b1bull,
                     0x97b7be2268862722ull, 0xb0782ecfcf9a5a48ull}}),
     [](const auto& info) { return std::string(info.param.name); });
+
+/// One chunk per device over the golden corpus, with topics drawn from
+/// Philox keyed by the corpus-global token.
+std::vector<ChunkState> GoldenChunks(const corpus::Corpus& corpus,
+                                     const CuldaConfig& cfg,
+                                     uint32_t devices) {
+  std::vector<ChunkState> chunks;
+  for (const auto& spec : corpus::PartitionByTokens(corpus, devices)) {
+    ChunkState chunk;
+    chunk.layout = corpus::BuildWordFirstChunk(corpus, spec);
+    chunk.work =
+        corpus::BuildBlockWorkList(chunk.layout, cfg.max_tokens_per_block);
+    for (const uint64_t token : chunk.layout.token_global) {
+      PhiloxStream rng(cfg.seed, token);
+      chunk.z.push_back(static_cast<uint16_t>(rng.NextBelow(cfg.num_topics)));
+    }
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+TEST(SharedPhi, ConcurrentUpdatesIntoOneReplicaEqualReducedReplicas) {
+  constexpr uint32_t kDevices = 3;
+  const auto corpus = GoldenCorpus();
+  const CuldaConfig cfg = GoldenConfig();
+  const auto chunks = GoldenChunks(corpus, cfg, kDevices);
+  const std::vector<gpusim::DeviceSpec> specs(kDevices, gpusim::V100Volta());
+
+  // Per-device replicas, reduced and broadcast by the sync.
+  gpusim::DeviceGroup serial(specs);
+  std::vector<PhiReplica> replicas;
+  for (uint32_t g = 0; g < kDevices; ++g) {
+    replicas.emplace_back(cfg.num_topics, corpus.vocab_size());
+    RunUpdatePhiKernel(serial.device(g), cfg, chunks[g], replicas[g]);
+  }
+  SynchronizePhi(serial, cfg, replicas);
+
+  // Every device's launch adding into one replica at the same time, each
+  // launch also spreading its blocks over the same pool. The latch holds
+  // each device until all have started, so no thread runs two of them; the
+  // pinned workers keep the scheduler from stacking them on one CPU. Both
+  // are needed for the launches to overlap, and so for TSan to see a race
+  // (a plain add in place of update_phi's atomic one is reported).
+  ThreadPool pool(kDevices, {.pin = true});
+  gpusim::DeviceGroup pooled(specs, gpusim::Pcie3x16(), &pool);
+  PhiReplica shared(cfg.num_topics, corpus.vocab_size());
+  std::latch all_started(kDevices);
+  pool.ParallelFor(kDevices, [&](size_t g) {
+    all_started.arrive_and_wait();
+    RunUpdatePhiKernel(pooled.device(g), cfg, chunks[g], shared);
+  });
+
+  for (uint32_t g = 0; g < kDevices; ++g) {
+    ASSERT_TRUE(std::ranges::equal(shared.phi.flat(), replicas[g].phi.flat()))
+        << "replica " << g;
+  }
+}
+
+TEST(SharedPhi, PooledTotalsEqualSerialTotals) {
+  ThreadPool pool(3);
+  // Topic counts off the 32-lane inner loop and vocabularies off the word
+  // tile, so every remainder path runs.
+  for (const auto& [k, v] : std::vector<std::pair<uint32_t, uint32_t>>{
+           {37, 1000}, {64, 257}, {5, 3}, {1, 1}, {33, 700}}) {
+    PhiReplica serial(k, v);
+    PhiloxStream rng(k, v);
+    std::vector<uint64_t> expected(k, 0);
+    for (uint32_t w = 0; w < v; ++w) {
+      for (uint32_t t = 0; t < k; ++t) {
+        serial.phi(t, w) = static_cast<uint16_t>(rng.NextBelow(0x10000));
+        expected[t] += serial.phi(t, w);
+      }
+    }
+    PhiReplica pooled = serial;
+    serial.RecomputeTotals();
+    pooled.RecomputeTotals(&pool);
+    EXPECT_EQ(pooled.nk, serial.nk) << "K=" << k << " V=" << v;
+    for (uint32_t t = 0; t < k; ++t) {
+      EXPECT_EQ(serial.nk[t], static_cast<int32_t>(expected[t]))
+          << "K=" << k << " V=" << v << " topic " << t;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace culda::core
