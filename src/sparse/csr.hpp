@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -28,6 +29,20 @@ class CsrMatrix {
       : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {
     CULDA_CHECK_MSG(cols <= std::numeric_limits<Idx>::max() + size_t{1},
                     "column count " << cols << " does not fit index type");
+  }
+
+  /// Adopts finished CSR arrays (e.g. a deserialized matrix) without
+  /// copying them; throws culda::Error unless they form a valid matrix.
+  CsrMatrix(size_t rows, size_t cols, std::vector<uint64_t> row_ptr,
+            std::vector<Idx> col_idx, std::vector<Val> values)
+      : rows_(rows),
+        cols_(cols),
+        row_ptr_(std::move(row_ptr)),
+        col_idx_(std::move(col_idx)),
+        values_(std::move(values)) {
+    CULDA_CHECK_MSG(cols <= std::numeric_limits<Idx>::max() + size_t{1},
+                    "column count " << cols << " does not fit index type");
+    Validate();
   }
 
   size_t rows() const { return rows_; }

@@ -26,13 +26,17 @@
 #include <latch>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/model_io.hpp"
 #include "core/trainer.hpp"
 #include "core/word_partition.hpp"
 #include "corpus/chunking.hpp"
 #include "dist/cluster.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/philox.hpp"
 #include "util/thread_pool.hpp"
 
@@ -366,6 +370,51 @@ INSTANTIATE_TEST_SUITE_P(
                    {0x860738cc8349a378ull, 0x36d2673e76357b1bull,
                     0x97b7be2268862722ull, 0xb0782ecfcf9a5a48ull}}),
     [](const auto& info) { return std::string(info.param.name); });
+
+/// The file bytes SaveModel and SaveCheckpoint write after the TreeWs1 run,
+/// each produced with telemetry off and then with metrics and tracing on:
+/// the container writer and its spans, timers and counters must leave the
+/// bytes alone.
+struct FileBytes {
+  std::string model;
+  std::string checkpoint;
+};
+
+FileBytes SaveTreeWs1(bool telemetry) {
+  obs::Metrics().set_enabled(telemetry);
+  obs::SpanTracer::Global().set_enabled(telemetry);
+  const auto corpus = GoldenCorpus();
+  TrainerOptions opts;
+  opts.gpus.assign(2, gpusim::V100Volta());
+  CuldaTrainer trainer(corpus, GoldenConfig(), opts);
+  trainer.Train(kIterations);
+  std::ostringstream model(std::ios::binary), ckpt(std::ios::binary);
+  SaveModel(trainer.Gather(), model);
+  trainer.SaveCheckpoint(ckpt);
+  obs::Metrics().set_enabled(false);
+  obs::Metrics().ResetValues();
+  obs::SpanTracer::Global().set_enabled(false);
+  obs::SpanTracer::Global().Reset();
+  return {model.str(), ckpt.str()};
+}
+
+uint64_t HashBytes(const std::string& bytes) {
+  Fnv1a h;
+  h.Bytes(bytes.data(), bytes.size());
+  return h.value();
+}
+
+TEST(GoldenFiles, ModelAndCheckpointBytesMatchPinnedHashes) {
+  for (const bool telemetry : {false, true}) {
+    const FileBytes files = SaveTreeWs1(telemetry);
+    EXPECT_EQ(HashBytes(files.model), 0x5f715a8e6a6f5bccull)
+        << "telemetry " << telemetry << ", " << files.model.size()
+        << " bytes, hash 0x" << std::hex << HashBytes(files.model);
+    EXPECT_EQ(HashBytes(files.checkpoint), 0x7680271cf0c9514cull)
+        << "telemetry " << telemetry << ", " << files.checkpoint.size()
+        << " bytes, hash 0x" << std::hex << HashBytes(files.checkpoint);
+  }
+}
 
 /// One chunk per device over the golden corpus, with topics drawn from
 /// Philox keyed by the corpus-global token.
