@@ -7,10 +7,11 @@
 // strings) in one place.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -42,17 +43,35 @@ inline std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-/// Shortest round-trippable decimal ("%.17g" is exact for IEEE doubles but
-/// ugly; try increasing precision until the value survives a parse). JSON
-/// has no inf/nan, so non-finite values become null.
+/// The first `%.{p}g` rendering, p = 6, 7, ..., 17, that parses back to
+/// `v` ("%.17g" is exact for IEEE doubles but ugly; six digits keep the
+/// common short values short). JSON has no inf/nan, so non-finite values
+/// become null.
+///
+/// The shortest round-trip form (`std::to_chars` without a precision) has
+/// s significant digits, and no rendering with fewer digits parses back to
+/// `v`, so the search starts at max(6, s) instead of trying every p from 6.
+/// It cannot always stop at s: `%g` rounds to the nearest s-digit decimal,
+/// which can fall outside `v`'s rounding interval where the interval is
+/// lopsided (at powers of two). `to_chars` with a precision is specified to
+/// match printf's `%g` in the C locale, so the bytes are printf's.
 inline std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  char* const last = buf + sizeof(buf);
+  char* const sci_end =
+      std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buf; p != sci_end && *p != 'e'; ++p) {
+    digits += (*p >= '0' && *p <= '9') ? 1 : 0;
   }
-  return buf;
+  for (int prec = std::max(6, digits);; ++prec) {
+    char* const end =
+        std::to_chars(buf, last, v, std::chars_format::general, prec).ptr;
+    double back = 0;
+    std::from_chars(buf, end, back);
+    if (back == v || prec >= 17) return std::string(buf, end);
+  }
 }
 
 /// Append-only `{...}` builder. Values added in call order; keys are not

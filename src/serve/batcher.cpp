@@ -7,7 +7,6 @@ namespace culda::serve {
 CoalescingBatcher::CoalescingBatcher(BatcherOptions options)
     : options_(options) {
   CULDA_CHECK_MSG(options_.max_batch >= 1, "max_batch must be >= 1");
-  CULDA_CHECK_MSG(options_.max_wait_ms >= 0, "max_wait_ms must be >= 0");
 }
 
 bool CoalescingBatcher::Enqueue(Ticket&& ticket) {
@@ -15,31 +14,16 @@ bool CoalescingBatcher::Enqueue(Ticket&& ticket) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_ || queue_.size() >= options_.max_queue) return false;
     queue_.push_back(std::move(ticket));
-    // Only the batch-full edge needs a wakeup: a consumer already waiting
-    // on the age deadline of an earlier request wakes by timeout anyway,
-    // but notifying on every enqueue keeps the empty→non-empty and
-    // below→at-threshold transitions prompt and is cheap at this rate.
   }
+  // Only the empty→non-empty edge can find the consumer waiting; notifying
+  // on every enqueue is simpler and costs no syscall when nobody waits.
   ready_.notify_one();
   return true;
 }
 
 std::vector<Ticket> CoalescingBatcher::NextBatch() {
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto wait_budget = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(options_.max_wait_ms));
-  while (true) {
-    if (queue_.size() >= options_.max_batch || closed_) break;
-    if (queue_.empty()) {
-      ready_.wait(lock);
-      continue;
-    }
-    // Oldest pending request sets the deadline; flush when it expires.
-    const auto deadline = queue_.front().enqueued + wait_budget;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    ready_.wait_until(lock, deadline);
-  }
+  ready_.wait(lock, [this] { return !queue_.empty() || closed_; });
   std::vector<Ticket> batch;
   const size_t n = std::min(queue_.size(), options_.max_batch);
   batch.reserve(n);

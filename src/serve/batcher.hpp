@@ -1,12 +1,15 @@
 // Request coalescing for the serving daemon: a bounded MPSC queue whose
-// consumer side yields *batches* shaped by a latency budget.
+// consumer side yields *batches* of whatever is pending.
 //
 // Many client threads Enqueue single requests; one dispatch thread calls
-// NextBatch, which blocks until either `max_batch` requests are pending or
-// the oldest pending request has waited `max_wait_ms` — whichever comes
-// first — then hands back up to `max_batch` tickets. That is the whole
-// batching policy: a full batch flushes immediately (throughput), a lone
-// request never waits longer than the budget (latency).
+// NextBatch, which blocks only while nothing is pending and then hands back
+// up to `max_batch` tickets at once. The policy is work-conserving: the
+// dispatcher runs each batch to completion before it asks for the next, so
+// whenever it calls NextBatch the engine is idle, and holding a request
+// back would only delay it. Batches still form on their own under load —
+// everything that arrives while a batch is in flight is taken together by
+// the next call — and responses depend only on (snapshot, words, seed),
+// never on which requests shared a batch.
 //
 // Admission control is explicit: the queue is bounded at `max_queue`, and
 // an Enqueue against a full (or closed) queue returns false *immediately*
@@ -30,11 +33,8 @@
 namespace culda::serve {
 
 struct BatcherOptions {
-  /// Flush threshold and hard cap on batch size.
+  /// Hard cap on batch size.
   size_t max_batch = 64;
-  /// Latency budget: a non-empty pending set never waits longer than this
-  /// before dispatch, even if the batch is not full.
-  double max_wait_ms = 5.0;
   /// Admission bound on pending (not yet dispatched) requests; beyond it
   /// Enqueue sheds. 0 is legal and sheds everything (useful in tests).
   size_t max_queue = 1024;
@@ -62,9 +62,10 @@ class CoalescingBatcher {
   /// owns it and answers it (typically with a backpressure response).
   bool Enqueue(Ticket&& ticket);
 
-  /// Dispatch side (single consumer). Blocks per the flush policy above;
-  /// returns an empty vector only when the batcher is closed and fully
-  /// drained — the dispatch loop's termination condition.
+  /// Dispatch side (single consumer). Blocks while the queue is empty and
+  /// open, then returns up to `max_batch` tickets in arrival order; returns
+  /// an empty vector only when the batcher is closed and fully drained —
+  /// the dispatch loop's termination condition.
   std::vector<Ticket> NextBatch();
 
   /// Stops admissions (Enqueue → false). Pending requests remain and

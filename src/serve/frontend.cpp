@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -21,6 +22,11 @@ namespace culda::serve {
 
 namespace {
 
+/// How long one write() of a response may block on an accepted socket. The
+/// dispatch thread writes every connection's responses, so a client that
+/// stops reading must cost the others at most this, once.
+constexpr int kSocketSendTimeoutS = 1;
+
 /// Serializes response lines onto one fd. Shared (refcounted) between the
 /// reader loop and every in-flight completion callback, so a frontend can
 /// return while the daemon is still completing its requests.
@@ -30,6 +36,7 @@ class LineWriter {
 
   void WriteLine(const std::string& line) {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (dead_) return;
     std::string buf = line;
     buf += '\n';
     size_t off = 0;
@@ -40,8 +47,13 @@ class LineWriter {
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
-      // Client gone (EPIPE etc.): drop the rest silently — the daemon
-      // keeps serving other connections. (SIGPIPE is ignored in the tool.)
+      // Client gone (EPIPE etc.; SIGPIPE is ignored in the tool) or not
+      // reading (EAGAIN once a socket's send timeout expires): drop this
+      // and every later response, and shut the socket down so the
+      // connection's reader loop sees EOF and ends. The daemon keeps
+      // serving other connections. (shutdown fails harmlessly on a pipe.)
+      dead_ = true;
+      ::shutdown(fd_, SHUT_RDWR);
       return;
     }
   }
@@ -49,6 +61,7 @@ class LineWriter {
  private:
   int fd_;
   std::mutex mutex_;
+  bool dead_ = false;  ///< guarded by mutex_
 };
 
 bool ShouldStop(const FrontendOptions& options) {
@@ -243,6 +256,12 @@ FrontendResult SocketFrontend::Run() {
       continue;
     }
     CULDA_OBS_COUNT("serve.connections", 1);
+    const timeval send_timeout = {kSocketSendTimeoutS, 0};
+    if (::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                     sizeof(send_timeout)) != 0) {
+      CULDA_LOG(Warn) << "setsockopt(SO_SNDTIMEO) failed: "
+                      << std::strerror(errno);
+    }
     connections.emplace_back([this, conn, &total, &merge_mutex] {
       FrontendOptions conn_options = options_;
       conn_options.stop = &stop_;

@@ -62,6 +62,12 @@ FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
 /// Accepts concurrent clients on a Unix domain socket; each connection
 /// runs RunLineFrontend on its own thread. A drain op from any client (or
 /// a process signal) stops the listener and every connection.
+///
+/// One dispatch thread writes every connection's responses, so a write to
+/// an accepted socket blocks for at most one second (SO_SNDTIMEO). A client
+/// that does not read within that is disconnected: its later responses are
+/// dropped and its socket is shut down, and everyone else keeps being
+/// served.
 class SocketFrontend {
  public:
   /// Binds and listens; throws culda::Error if the path is taken or too

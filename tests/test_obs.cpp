@@ -4,8 +4,14 @@
 // instrumentation on vs off.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -356,6 +362,86 @@ TEST(ObsJson, NumbersRoundTripAndNonFiniteBecomesNull) {
   EXPECT_EQ(std::strtod(JsonNumber(1.0 / 3.0).c_str(), nullptr), 1.0 / 3.0);
   EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(JsonNumber(std::nan("")), "null");
+}
+
+/// JsonNumber's definition, kept as the oracle: try `%.{p}g` for
+/// p = 6, 7, ..., 17 and keep the first rendering that strtod parses back.
+std::string JsonNumberBySearch(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Compares JsonNumber with the oracle on every value; returns how many
+/// differ and describes the first in `*first`.
+size_t CountOracleMismatches(const std::vector<double>& values,
+                             std::string* first) {
+  size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = JsonNumber(v);
+    const std::string want = JsonNumberBySearch(v);
+    if (got == want) continue;
+    if (mismatches++ == 0) {
+      char hex[64];
+      std::snprintf(hex, sizeof(hex), "%a", v);
+      *first = std::string(hex) + ": got " + got + ", want " + want;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ObsJson, NumberMatchesPrintfSearchOnEdgeCases) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                DBL_TRUE_MIN,
+                                DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                std::nan(""),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  const auto add_with_neighbours = [&values](double x) {
+    for (const double y :
+         {x, std::nextafter(x, 0.0), std::nextafter(x, HUGE_VAL)}) {
+      values.push_back(y);
+      values.push_back(-y);
+    }
+  };
+  // Every power of two, subnormals included: where the rounding interval
+  // is lopsided, the nearest s-digit decimal may not round-trip.
+  for (int e = -1074; e <= 1023; ++e) add_with_neighbours(std::ldexp(1, e));
+  for (int e = -323; e <= 308; ++e) {
+    add_with_neighbours(std::strtod(("1e" + std::to_string(e)).c_str(),
+                                    nullptr));
+  }
+  // Around %g's switch between fixed and exponent notation (exponent < -4
+  // or >= precision), including values that round up across a decade.
+  for (int e = -7; e <= 18; ++e) {
+    for (const double m : {1.0, 1.5, 5.0, 9.999995, 9.9999995, 9.99999999,
+                           9.999999999999999}) {
+      add_with_neighbours(m * std::pow(10.0, e));
+    }
+  }
+  std::string first;
+  EXPECT_EQ(CountOracleMismatches(values, &first), 0u) << first;
+}
+
+TEST(ObsJson, NumberMatchesPrintfSearchOnRandomBitPatterns) {
+  std::mt19937_64 rng(20261019);
+  std::vector<double> values(1u << 20);
+  for (double& v : values) {
+    const uint64_t bits = rng();
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  // Topic proportions, the daemon's bulk traffic: products of uniforms.
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 65536; ++i) values.push_back(unit(rng) * unit(rng));
+  std::string first;
+  EXPECT_EQ(CountOracleMismatches(values, &first), 0u) << first;
 }
 
 TEST(ObsJson, EscapesControlCharactersAndQuotes) {

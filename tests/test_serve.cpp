@@ -3,12 +3,16 @@
 // and hot-swap), and the fd-pair line frontend.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,36 +193,65 @@ Ticket MakeTicket(std::string id,
   return t;
 }
 
+double MillisSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 TEST(Batcher, FlushesOnFullBatch) {
   BatcherOptions opts;
   opts.max_batch = 3;
-  opts.max_wait_ms = 60000;  // never flush on time in this test
   CoalescingBatcher b(opts);
   ASSERT_TRUE(b.Enqueue(MakeTicket("a")));
   ASSERT_TRUE(b.Enqueue(MakeTicket("b")));
   ASSERT_TRUE(b.Enqueue(MakeTicket("c")));
-  const auto batch = b.NextBatch();  // must not wait: batch is full
+  ASSERT_TRUE(b.Enqueue(MakeTicket("d")));
+  const auto batch = b.NextBatch();  // capped at max_batch, in order
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0].request.id, "a");
   EXPECT_EQ(batch[2].request.id, "c");
+  const auto rest = b.NextBatch();  // the overflow forms the next batch
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].request.id, "d");
 }
 
-TEST(Batcher, FlushesOnLatencyBudget) {
+TEST(Batcher, LoneRequestDispatchesWithoutWaiting) {
   BatcherOptions opts;
   opts.max_batch = 1000;  // never fills
-  opts.max_wait_ms = 5;
   CoalescingBatcher b(opts);
-  ASSERT_TRUE(b.Enqueue(MakeTicket("lone")));
+
+  // Already pending when the dispatcher asks: returned at once.
+  ASSERT_TRUE(b.Enqueue(MakeTicket("pending")));
   const auto t0 = std::chrono::steady_clock::now();
   const auto batch = b.NextBatch();
-  const double waited_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const double waited_ms = MillisSince(t0);
   ASSERT_EQ(batch.size(), 1u);
-  // A lone request flushes at the budget, not at max_batch; generous upper
-  // bound for slow CI machines.
-  EXPECT_LT(waited_ms, 5000.0);
+  EXPECT_EQ(batch[0].request.id, "pending");
+
+  // Arriving while the dispatcher waits on an empty queue (its state
+  // whenever the daemon is idle): the enqueue itself wakes it.
+  std::atomic<bool> waiting{false};
+  std::vector<Ticket> woken;
+  std::chrono::steady_clock::time_point returned;
+  std::thread consumer([&] {
+    waiting.store(true);
+    woken = b.NextBatch();
+    returned = std::chrono::steady_clock::now();
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto enqueued = std::chrono::steady_clock::now();
+  ASSERT_TRUE(b.Enqueue(MakeTicket("arrives")));
+  consumer.join();
+  ASSERT_EQ(woken.size(), 1u);
+  EXPECT_EQ(woken[0].request.id, "arrives");
+  const double wake_ms =
+      std::chrono::duration<double, std::milli>(returned - enqueued).count();
+
+  // There is no timer to wait out; the bounds only absorb slow CI hosts.
+  EXPECT_LT(waited_ms, 1000.0);
+  EXPECT_LT(wake_ms, 1000.0);
 }
 
 TEST(Batcher, ShedsWhenFullAndTicketSurvives) {
@@ -262,7 +295,6 @@ TEST(Batcher, CloseDrainsGracefully) {
 TEST(Batcher, ManyProducersOneConsumer) {
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_wait_ms = 1;
   CoalescingBatcher b(opts);
   constexpr int kThreads = 4, kPerThread = 50;
   std::vector<std::thread> producers;
@@ -311,6 +343,84 @@ TEST(Daemon, ServesAndMatchesDirectInference) {
   const auto direct = snap->engine().InferDocument(req.words, 10, 99);
   EXPECT_EQ(r.result.assignments, direct.assignments);
   EXPECT_EQ(r.result.tokens, direct.tokens);
+}
+
+TEST(Daemon, ResponseBytesIndependentOfBatchComposition) {
+  constexpr uint32_t kIters = 10;
+  const auto snap = TestSnapshot();
+  obs::Metrics().ResetValues();
+  obs::Metrics().set_enabled(true);
+  const obs::Counter& batches = obs::Metrics().GetCounter("serve.batches");
+  ServeDaemonOptions opts;
+  opts.iterations = kIters;
+  ServeDaemon daemon(opts, snap);
+
+  ServeRequest target;
+  target.id = "target";
+  target.words = {3, 17, 3, 40, 199, 0, 17};
+  target.seed = 99;
+
+  // Alone: nothing else is pending, so it is a batch of one.
+  const ServeResponse alone = daemon.Submit(target).get();
+  ASSERT_TRUE(alone.ok) << alone.error << ": " << alone.detail;
+  EXPECT_EQ(batches.value(), 1u);
+
+  // Inside a full batch: a plug request's completion callback holds the
+  // dispatch thread while 64 requests queue up behind it, so releasing it
+  // hands all 64 to the next NextBatch. They mix document lengths (1 to
+  // 120 tokens) and one is out of vocabulary.
+  std::promise<void> plugged, release;
+  std::shared_future<void> released = release.get_future().share();
+  ServeRequest plug;
+  plug.id = "plug";
+  plug.words = {1};
+  daemon.Submit(plug, [&plugged, released](ServeResponse) {
+    plugged.set_value();
+    released.wait();
+  });
+  plugged.get_future().wait();
+  std::vector<ServeRequest> sent;
+  std::vector<std::future<ServeResponse>> replies;
+  for (uint32_t i = 0; i < 64; ++i) {
+    ServeRequest req;
+    if (i == 20) {
+      req = target;
+    } else if (i == 41) {
+      req.id = "oov";
+      req.words = {5, 1u << 20, 6};
+    } else {
+      req.id = "b" + std::to_string(i);
+      const uint32_t len = 1 + (i * 37) % 120;
+      for (uint32_t j = 0; j < len; ++j) {
+        req.words.push_back((i * 7 + j * 13) % 200);
+      }
+      req.seed = 1000 + i;
+    }
+    sent.push_back(req);
+    replies.push_back(daemon.Submit(std::move(req)));
+  }
+  release.set_value();
+  std::vector<ServeResponse> batched;
+  for (auto& f : replies) batched.push_back(f.get());
+  EXPECT_EQ(batches.value(), 3u);  // alone, plug, and the 64 together
+
+  EXPECT_EQ(FormatResponse(batched[20]), FormatResponse(alone));
+  EXPECT_EQ(batched[41].error, "bad_request");
+  // Every in-vocabulary member equals a direct single-document inference
+  // on the same snapshot and seed, byte for byte.
+  for (size_t i = 0; i < sent.size(); ++i) {
+    if (i == 41) continue;
+    ServeResponse direct;
+    direct.id = sent[i].id;
+    direct.ok = true;
+    direct.generation = snap->generation();
+    direct.result =
+        snap->engine().InferDocument(sent[i].words, kIters, sent[i].seed);
+    EXPECT_EQ(FormatResponse(batched[i]), FormatResponse(direct)) << i;
+  }
+  daemon.Drain();
+  obs::Metrics().set_enabled(false);
+  obs::Metrics().ResetValues();
 }
 
 TEST(Daemon, OutOfVocabGetsBadRequestOthersProceed) {
@@ -371,7 +481,6 @@ TEST(Daemon, DrainAnswersQueuedThenRejectsLate) {
 
 TEST(Daemon, NullInitialSnapshotShedsUntilPublish) {
   ServeDaemonOptions opts;
-  opts.batch.max_wait_ms = 1;
   ServeDaemon daemon(opts, nullptr);
   ServeRequest req;
   req.id = "early";
@@ -694,6 +803,86 @@ TEST(Frontend, SocketServesConcurrentClients) {
   std::vector<std::thread> clients;
   for (int i = 0; i < 3; ++i) clients.emplace_back(client, i);
   for (auto& t : clients) t.join();
+  listener.Stop();
+  server.join();
+}
+
+TEST(Frontend, NonReadingSocketClientDoesNotStallOthers) {
+  // The daemon's writes to a client that has gone away must fail, not kill
+  // the test process.
+  std::signal(SIGPIPE, SIG_IGN);
+  ServeDaemonOptions opts;
+  opts.iterations = 5;
+  ServeDaemon daemon(opts, TestSnapshot());
+  const std::string path =
+      testing::TempDir() + "culda_serve_stall_" +
+      std::to_string(static_cast<unsigned>(getpid())) + ".sock";
+  FrontendOptions fopts;
+  fopts.poll_interval_ms = 5;
+  SocketFrontend listener(daemon, path, nullptr, fopts);
+  std::thread server([&] { listener.Run(); });
+
+  // The stalled client sends far more requests than the socket buffers
+  // can hold answers for, and never reads. Its own sends give up after 2 s
+  // so the test cannot hang on them.
+  const int stalled = ConnectUnixSocketForTest(path);
+  ASSERT_GE(stalled, 0);
+  const timeval client_timeout = {2, 0};
+  ASSERT_EQ(setsockopt(stalled, SOL_SOCKET, SO_SNDTIMEO, &client_timeout,
+                       sizeof(client_timeout)),
+            0);
+  std::string flood_line = "{\"id\":\"s\",\"words\":[";
+  for (int w = 0; w < 100; ++w) {
+    flood_line += (w > 0 ? "," : "") + std::to_string(w);
+  }
+  flood_line += "]}\n";
+  for (int i = 0; i < 3000; ++i) {
+    size_t off = 0;
+    while (off < flood_line.size()) {
+      const ssize_t n = send(stalled, flood_line.data() + off,
+                             flood_line.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<size_t>(n);
+    }
+    if (off < flood_line.size()) break;  // the daemon dropped us (or 2 s)
+  }
+
+  // A well-behaved client is answered within a few seconds. Until the
+  // daemon has worked off the stalled client's backlog, a full queue may
+  // shed the probe; shedding is an immediate answer, so it retries.
+  const int probe = ConnectUnixSocketForTest(path);
+  ASSERT_GE(probe, 0);
+  const std::string req = "{\"id\":\"probe\",\"words\":[1,2,3]}\n";
+  std::string line;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (MillisSince(t0) < 5000.0) {
+    ASSERT_EQ(write(probe, req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    line.clear();
+    while (MillisSince(t0) < 5000.0) {
+      pollfd pfd = {probe, POLLIN, 0};
+      if (poll(&pfd, 1, 50) <= 0) continue;
+      char c;
+      if (read(probe, &c, 1) != 1 || c == '\n') break;
+      line.push_back(c);
+    }
+    if (line.find("\"error\":\"shed\"") == std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_NE(line.find("\"id\":\"probe\",\"ok\":true"), std::string::npos)
+      << "probe answer: '" << line << "'";
+
+  // The daemon drains while the stalled client is still connected.
+  auto drained = std::async(std::launch::async, [&] { daemon.Drain(); });
+  const bool drained_in_time =
+      drained.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Disconnecting unblocks a daemon still stuck writing, so a failure ends
+  // the test instead of hanging it.
+  shutdown(stalled, SHUT_RDWR);
+  close(stalled);
+  close(probe);
+  drained.wait();
+  EXPECT_TRUE(drained_in_time);
   listener.Stop();
   server.join();
 }

@@ -168,7 +168,6 @@ TEST(HotSwapStress, EveryResponseConsistentWithExactlyOneGeneration) {
   serve::ServeDaemonOptions opts;
   opts.iterations = kIters;
   opts.batch.max_batch = 4;
-  opts.batch.max_wait_ms = 1;
   serve::ServeDaemon daemon(opts, initial);
 
   std::atomic<bool> writer_done{false};

@@ -39,7 +39,7 @@ constexpr char kUsage[] =
     R"(usage: culda_serve --model=MODEL.bin [options] < requests.jsonl
 
 Long-running LDA inference daemon: coalesces concurrent JSONL requests
-into latency-budgeted batches and hot-swaps model snapshots RCU-style.
+into batches and hot-swaps model snapshots RCU-style.
 See docs/serving.md ("Daemon") for the wire protocol and semantics.
 
 Input/transport:
@@ -52,9 +52,11 @@ Input/transport:
                      path (same snapshot + seed => same bytes).
 
 Batching / admission control:
-  --max-batch=N      flush a batch at N requests (default 64)
-  --max-wait-ms=X    ...or when the oldest pending request has waited X ms
-                     (default 5), whichever comes first
+  --max-batch=N      at most N requests per batch (default 64). Dispatch is
+                     work-conserving: whenever the engine is idle it takes
+                     everything pending (up to N) at once, so a lone request
+                     never waits and requests arriving during a batch form
+                     the next one
   --max-queue=N      bounded queue; beyond it requests are shed with an
                      immediate {"error":"shed"} response (default 1024)
 
@@ -227,7 +229,6 @@ int main(int argc, char** argv) {
     const bool pin = flags.GetBool("pin", false);
     const bool numa_replicate = flags.GetBool("numa-replicate", false);
     const int64_t max_batch = flags.GetInt("max-batch", 64);
-    const double max_wait_ms = flags.GetDouble("max-wait-ms", 5.0);
     const int64_t max_queue = flags.GetInt("max-queue", 1024);
     const double alpha = flags.GetDouble("alpha", -1.0);
     const double beta = flags.GetDouble("beta", 0.01);
@@ -245,9 +246,6 @@ int main(int argc, char** argv) {
                     "--workers must be in [0, 1024], got " << workers_flag);
     CULDA_CHECK_MSG(max_batch >= 1 && max_batch <= 65536,
                     "--max-batch must be in [1, 65536], got " << max_batch);
-    CULDA_CHECK_MSG(max_wait_ms >= 0 && max_wait_ms <= 60000,
-                    "--max-wait-ms must be in [0, 60000], got "
-                        << max_wait_ms);
     CULDA_CHECK_MSG(max_queue >= 1 && max_queue <= (1 << 20),
                     "--max-queue must be in [1, 2^20], got " << max_queue);
     CULDA_CHECK_MSG(!(oneshot && !socket_path.empty()),
@@ -316,7 +314,6 @@ int main(int argc, char** argv) {
 
     serve::ServeDaemonOptions daemon_options;
     daemon_options.batch.max_batch = static_cast<size_t>(max_batch);
-    daemon_options.batch.max_wait_ms = max_wait_ms;
     daemon_options.batch.max_queue = static_cast<size_t>(max_queue);
     daemon_options.iterations = static_cast<uint32_t>(iters);
     daemon_options.pool = engine_options.pool;

@@ -77,7 +77,7 @@ echo "== daemon run (coalescing + hot swap + live exposition)"
 # race-free regardless).
 { cat "$work/requests.jsonl"; sleep 1; printf '{"op":"stats","id":"st"}\n'; } |
   "$bindir/culda_serve" --model="$work/model.bin" --iters=10 \
-    --max-batch=8 --max-wait-ms=50 --metrics-out="$work/metrics.jsonl" \
+    --max-batch=8 --metrics-out="$work/metrics.jsonl" \
     --metrics-expose="$work/expose.prom" --export-interval-ms=100 \
     --quiet $extra > "$work/daemon.out" \
   || fail "daemon run exited $?"
@@ -120,7 +120,8 @@ tail -n 1 "$work/expose.prom" | grep -q '^# EOF$' \
 # ...but the coalescing proof reads the exit-time summary (written after
 # the drain, so every batch is counted — the mid-stream stats ack races
 # with the dispatcher): strictly fewer batches than requests (40 requests
-# at max-batch 8 / 50 ms budget must coalesce).
+# read in one burst must coalesce: those that arrive while a batch is in
+# flight form the next one).
 summary=$(grep '"kind":"serve_summary"' "$work/metrics.jsonl") \
   || fail "serve_summary line missing from metrics.jsonl"
 batches=$(printf '%s' "$summary" |
@@ -141,13 +142,12 @@ printf '%s' "$summary" |
 echo "   coalesced $requests requests into $batches batches"
 
 echo "== SIGTERM drain"
-# Requests are parked in the queue (60 s latency budget, batch larger than
-# the request count) when SIGTERM lands, so the graceful path must flush
-# them: all answered, exit 0.
+# Whether each admitted request is still queued, in flight or answered
+# when SIGTERM lands, the graceful path must answer all of them and exit 0.
 fifo="$work/in.fifo"
 mkfifo "$fifo"
 "$bindir/culda_serve" --model="$work/model.bin" --iters=10 \
-  --max-batch=64 --max-wait-ms=60000 --quiet $extra \
+  --max-batch=64 --quiet $extra \
   < "$fifo" > "$work/drain.out" &
 daemon_pid=$!
 exec 3>"$fifo"  # hold the fifo open so the daemon never sees EOF
