@@ -134,10 +134,12 @@ void CuldaTrainer::BuildChunks() {
   const uint32_t c_count = m_ * static_cast<uint32_t>(group_.size());
   const auto specs = corpus::PartitionByTokens(*corpus_, c_count);
   chunks_.clear();
-  chunks_.reserve(specs.size());
-  for (const auto& spec : specs) {
-    ChunkState chunk;
-    chunk.layout = corpus::BuildWordFirstChunk(*corpus_, spec);
+  chunks_.resize(specs.size());
+  // Chunks are independent: each reads only the corpus and fills only its
+  // own slot, so they build concurrently and land in chunk order.
+  const auto build = [&](size_t c) {
+    ChunkState& chunk = chunks_[c];
+    chunk.layout = corpus::BuildWordFirstChunk(*corpus_, specs[c]);
     chunk.work =
         corpus::BuildBlockWorkList(chunk.layout, cfg_.max_tokens_per_block);
     chunk.z.resize(chunk.layout.num_tokens());
@@ -152,7 +154,11 @@ void CuldaTrainer::BuildChunks() {
       chunk.z[t] = static_cast<uint16_t>(topic);
     }
     chunk.theta = ThetaMatrix(chunk.layout.num_docs(), cfg_.num_topics);
-    chunks_.push_back(std::move(chunk));
+  };
+  if (opts_.pool != nullptr) {
+    opts_.pool->ParallelFor(chunks_.size(), build);
+  } else {
+    for (size_t c = 0; c < chunks_.size(); ++c) build(c);
   }
 
   // Charge resident footprints against device capacity. WS1 keeps all of a
@@ -165,19 +171,17 @@ void CuldaTrainer::BuildChunks() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
-    footprints_.push_back(dev.Alloc<std::byte>(
+    footprints_.push_back(dev.Reserve(
         2 * PhiFootprintBytes(cfg_, corpus_->vocab_size()), "phi_replica"));
     if (m_ == 1) {
-      footprints_.push_back(
-          dev.Alloc<std::byte>(chunks_[g].DeviceBytes(cfg_), "chunk"));
+      footprints_.push_back(dev.Reserve(chunks_[g].DeviceBytes(cfg_), "chunk"));
     } else {
       uint64_t max_chunk = 0;
       for (uint32_t m = 0; m < m_; ++m) {
         max_chunk = std::max(max_chunk,
                              chunks_[m * g_count + g].DeviceBytes(cfg_));
       }
-      footprints_.push_back(
-          dev.Alloc<std::byte>(2 * max_chunk, "chunk_double_buffer"));
+      footprints_.push_back(dev.Reserve(2 * max_chunk, "chunk_double_buffer"));
     }
   }
 }

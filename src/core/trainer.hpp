@@ -217,7 +217,7 @@ class CuldaTrainer {
   PhiReplica model_;
   PhiReplica accum_;
   /// Capacity charges representing resident chunk + model footprints.
-  std::vector<gpusim::DeviceBuffer<std::byte>> footprints_;
+  std::vector<gpusim::DeviceReservation> footprints_;
   std::vector<IterationStats> history_;
   SamplingStepCounters steps_;
   uint32_t iteration_ = 0;

@@ -1,7 +1,8 @@
 #include "corpus/uci_reader.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/io.hpp"
 
 namespace culda::corpus {
 
@@ -25,6 +27,98 @@ struct UciEntry {
   uint64_t count;
 };
 
+/// The six separators `std::isspace` accepts in the C locale.
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// int64 holds at most 19 significant decimal digits.
+constexpr size_t kMaxDigits = 19;
+
+/// Reads the input in pieces of at most io::kIoPieceBytes and splits it into
+/// numbers exactly as `istream >> int64_t` does in the C locale: leading
+/// whitespace is skipped, a number is an optional sign and at least one
+/// digit, it ends at the first byte that is not a digit, and a value
+/// outside int64 is a failure. A number cut by a piece boundary is carried
+/// into the next piece.
+class NumberReader {
+ public:
+  explicit NumberReader(std::istream& in)
+      : in_(in), buf_(io::kIoPieceBytes + 1 + kMaxDigits) {}
+
+  /// Parses the next number into `out`; false where stream extraction
+  /// would fail (end of input, no digits, or out of range).
+  bool Next(int64_t& out) {
+    SkipSpace();
+    while (true) {
+      char* first = buf_.data() + pos_;
+      const char* end = buf_.data() + end_;
+      const bool sign = first < end && (*first == '+' || *first == '-');
+      char* digits = first + (sign ? 1 : 0);
+      const char* last = digits;
+      while (last < end && IsDigit(*last)) ++last;
+      if (last < end || eof_) {
+        pos_ = static_cast<size_t>(last - buf_.data());
+        if (last == digits) return false;
+        if (*first == '-') digits = first;  // from_chars takes no '+'
+        const auto [ptr, ec] = std::from_chars(digits, last, out);
+        return ec == std::errc() && ptr == last;
+      }
+      // The number runs to the end of the buffer, so it continues in the
+      // next piece. Leading zeros do not change its value: the carry keeps
+      // at most one, and a carry with more significant digits than int64
+      // holds cannot parse.
+      const char* kept = digits;
+      while (kept + 1 < last && *kept == '0') ++kept;
+      const size_t kept_len = static_cast<size_t>(last - kept);
+      if (kept_len > kMaxDigits) return false;
+      std::memmove(digits, kept, kept_len);
+      end_ = static_cast<size_t>(digits + kept_len - buf_.data());
+      Fill();
+    }
+  }
+
+  /// True when another byte follows and it is whitespace.
+  bool NextIsSpace() { return (pos_ < end_ || Fill()) && IsSpace(buf_[pos_]); }
+
+  /// Skips whitespace; true when the input ends there.
+  bool SkipSpaceToEnd() {
+    SkipSpace();
+    return pos_ == end_;
+  }
+
+ private:
+  void SkipSpace() {
+    do {
+      const char* p = buf_.data() + pos_;
+      const char* end = buf_.data() + end_;
+      while (p < end && IsSpace(*p)) ++p;
+      pos_ = static_cast<size_t>(p - buf_.data());
+    } while (pos_ == end_ && Fill());
+  }
+
+  /// Moves the unparsed tail to the front and appends the next piece;
+  /// false when no byte was added.
+  bool Fill() {
+    if (eof_) return false;
+    const size_t carry = end_ - pos_;
+    CULDA_DCHECK(carry <= 1 + kMaxDigits);
+    std::memmove(buf_.data(), buf_.data() + pos_, carry);
+    in_.read(buf_.data() + carry,
+             static_cast<std::streamsize>(io::kIoPieceBytes));
+    const size_t got = static_cast<size_t>(in_.gcount());
+    eof_ = got < io::kIoPieceBytes;
+    pos_ = 0;
+    end_ = carry + got;
+    return got > 0;
+  }
+
+  std::istream& in_;
+  std::vector<char> buf_;
+  size_t pos_ = 0;  ///< next unparsed byte
+  size_t end_ = 0;  ///< end of the bytes read so far
+  bool eof_ = false;
+};
+
 }  // namespace
 
 Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
@@ -32,12 +126,14 @@ Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
   CULDA_CHECK_MSG(limits.max_docs <= UINT32_MAX &&
                       limits.max_vocab <= UINT32_MAX,
                   "UciReadLimits doc/vocab caps must fit in 32 bits");
+  NumberReader reader(in);
 
-  // Signed extraction so a leading '-' is seen as a negative number (and
-  // rejected below) instead of wrapping to 2^64−1 the way unsigned stream
-  // extraction would; values beyond int64 range fail extraction outright.
+  // Signed parsing so a leading '-' is seen as a negative number (and
+  // rejected below) instead of wrapping to 2^64−1; values beyond int64
+  // range fail to parse outright.
   int64_t num_docs_s = 0, vocab_s = 0, nnz_s = 0;
-  CULDA_CHECK_MSG(static_cast<bool>(in >> num_docs_s >> vocab_s >> nnz_s),
+  CULDA_CHECK_MSG(reader.Next(num_docs_s) && reader.Next(vocab_s) &&
+                      reader.Next(nnz_s),
                   "UCI header (D, W, NNZ) missing or malformed");
   CULDA_CHECK_MSG(num_docs_s >= 0 && vocab_s >= 0 && nnz_s >= 0,
                   "UCI header contains a negative value (D=" << num_docs_s
@@ -61,9 +157,11 @@ Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
   std::vector<UciEntry> entries;
   entries.reserve(static_cast<size_t>(std::min<uint64_t>(nnz, 1u << 20)));
   uint64_t total_tokens = 0;
+  bool in_doc_order = true;
   for (uint64_t i = 0; i < nnz; ++i) {
     int64_t doc_id = 0, word_id = 0, count = 0;
-    CULDA_CHECK_MSG(static_cast<bool>(in >> doc_id >> word_id >> count),
+    CULDA_CHECK_MSG(reader.Next(doc_id) && reader.Next(word_id) &&
+                        reader.Next(count),
                     "UCI entry " << i << " malformed (expected " << nnz
                                  << " entries)");
     CULDA_CHECK_MSG(doc_id >= 0 && word_id >= 0 && count >= 0,
@@ -82,8 +180,9 @@ Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
                              << ") pushes the token total past the limit "
                              << limits.max_tokens);
     total_tokens += static_cast<uint64_t>(count);
-    entries.push_back({static_cast<uint32_t>(doc_id - 1),
-                       static_cast<uint32_t>(word_id - 1),
+    const uint32_t doc = static_cast<uint32_t>(doc_id - 1);
+    if (!entries.empty() && doc < entries.back().doc) in_doc_order = false;
+    entries.push_back({doc, static_cast<uint32_t>(word_id - 1),
                        static_cast<uint64_t>(count)});
   }
 
@@ -91,23 +190,23 @@ Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
   // truncated inside its last count (e.g. "… 12" → "… 1") still parses and
   // loads silently with the wrong corpus.
   if (nnz > 0) {
-    const int next = in.peek();
     CULDA_CHECK_MSG(
-        next != std::char_traits<char>::eof() &&
-            std::isspace(static_cast<unsigned char>(next)),
+        reader.NextIsSpace(),
         "UCI input ends unterminated after the last entry (truncated?)");
   }
-  in >> std::ws;
-  CULDA_CHECK_MSG(in.peek() == std::char_traits<char>::eof(),
+  CULDA_CHECK_MSG(reader.SkipSpaceToEnd(),
                   "trailing garbage after " << nnz << " UCI entries");
 
   // Entries may arrive in any doc order; a stable sort groups them per
   // document while preserving the input order within each (matching the
-  // historical per-document bucketing).
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const UciEntry& a, const UciEntry& b) {
-                     return a.doc < b.doc;
-                   });
+  // historical per-document bucketing). Input already in document order,
+  // as UCI files are written, needs none.
+  if (!in_doc_order) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const UciEntry& a, const UciEntry& b) {
+                       return a.doc < b.doc;
+                     });
+  }
 
   std::vector<uint64_t> doc_offsets;
   doc_offsets.reserve(num_docs + 1);
@@ -117,9 +216,7 @@ Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits) {
   size_t e = 0;
   for (uint64_t d = 0; d < num_docs; ++d) {
     for (; e < entries.size() && entries[e].doc == d; ++e) {
-      for (uint64_t c = 0; c < entries[e].count; ++c) {
-        words.push_back(entries[e].word);
-      }
+      words.insert(words.end(), entries[e].count, entries[e].word);
     }
     doc_offsets.push_back(words.size());
   }

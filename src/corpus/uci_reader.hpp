@@ -12,14 +12,22 @@
 // the trainer unchanged; WriteUciBagOfWords round-trips synthetic corpora
 // for interchange and tests.
 //
+// The reader parses its input in pieces of at most 1 MiB
+// (io::kIoPieceBytes), carrying a number cut by a piece boundary into the
+// next piece, so it holds no more than one piece of input beyond the
+// entries it has accepted. Numbers follow `istream >> int64_t` in the C
+// locale: any C-locale whitespace separates them, a sign is optional, and
+// a value outside int64 is malformed.
+//
 // The reader treats its input as untrusted: header dimensions are capped
 // (UciReadLimits), memory during parsing grows with the entries actually
 // present rather than with declared sizes, negative fields are rejected
-// explicitly (they would otherwise wrap through unsigned extraction), the
-// expanded token total is validated against a configurable cap before any
-// expansion, the final entry must be terminated by whitespace (so a
-// truncated trailing number cannot load silently), and bytes after the
-// NNZ-th entry are rejected as trailing garbage.
+// explicitly (they would otherwise wrap to huge unsigned values), the
+// expanded token total is validated against a configurable cap as each
+// entry arrives and before any expansion, the final entry must be
+// terminated by whitespace (so a truncated trailing number cannot load
+// silently), and bytes after the NNZ-th entry are rejected as trailing
+// garbage.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +49,10 @@ struct UciReadLimits {
   uint64_t max_tokens = 1ull << 32;  ///< 4.3B expanded tokens
 };
 
-/// Parses a UCI bag-of-words stream. Throws culda::Error on malformed,
-/// truncated, or hostile input (non-monotonic doc ids are accepted; ids out
-/// of range, negative fields, over-limit dimensions, and trailing garbage
-/// are not).
+/// Parses a UCI bag-of-words stream, read to its end in bounded pieces.
+/// Throws culda::Error on malformed, truncated, or hostile input
+/// (non-monotonic doc ids are accepted; ids out of range, negative fields,
+/// over-limit dimensions, and trailing garbage are not).
 Corpus ReadUciBagOfWords(std::istream& in, const UciReadLimits& limits = {});
 
 /// Convenience overload opening `path`.

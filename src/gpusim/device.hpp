@@ -90,6 +90,11 @@ class Device : public MemoryLedger {
   DeviceBuffer<T> Alloc(size_t count, const std::string& tag) {
     return DeviceBuffer<T>(this, count, tag);
   }
+  /// Charges `bytes` of capacity without host backing store, for device
+  /// footprints whose contents the host keeps elsewhere.
+  DeviceReservation Reserve(uint64_t bytes, const std::string& tag) {
+    return DeviceReservation(this, bytes, tag);
+  }
   uint64_t allocated_bytes() const { return allocated_bytes_; }
   uint64_t free_bytes() const { return spec_.memory_bytes - allocated_bytes_; }
 

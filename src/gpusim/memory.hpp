@@ -1,8 +1,10 @@
 // Simulated device memory.
 //
-// A DeviceBuffer<T> is a typed allocation charged against its device's
-// memory capacity (DeviceSpec::memory_bytes). The backing store is host
-// memory — the simulator is functional — but allocation failure behaves like
+// A DeviceReservation is a capacity charge against its device's memory
+// (DeviceSpec::memory_bytes) and nothing more: it holds no storage. A
+// DeviceBuffer<T> is the data-carrying variant, a typed allocation backed by
+// host memory (the simulator is functional) that takes its charge through a
+// DeviceReservation. Either way, a charge that does not fit behaves like
 // cudaMalloc running out of device memory, which is what forces the
 // WorkSchedule2 streaming path for corpora that exceed device capacity
 // (Section 5.1 of the paper).
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -28,33 +31,59 @@ class MemoryLedger {
   virtual void Release(uint64_t bytes) = 0;
 };
 
-/// Move-only owning handle to a simulated device allocation.
+/// Move-only owning handle to a charge of `bytes` against a ledger,
+/// released on destruction or Free(). Holds no storage, so resident
+/// footprints the host keeps elsewhere (or not at all) cost no host memory.
+class DeviceReservation {
+ public:
+  DeviceReservation() = default;
+
+  /// Throws culda::Error, naming `tag`, when the charge does not fit.
+  DeviceReservation(MemoryLedger* ledger, uint64_t bytes,
+                    const std::string& tag)
+      : ledger_(ledger), bytes_(bytes) {
+    ledger_->Charge(bytes_, tag);
+  }
+
+  ~DeviceReservation() { Free(); }
+
+  DeviceReservation(DeviceReservation&& o) noexcept
+      : ledger_(std::exchange(o.ledger_, nullptr)),
+        bytes_(std::exchange(o.bytes_, 0)) {}
+  DeviceReservation& operator=(DeviceReservation&& o) noexcept {
+    if (this != &o) {
+      Free();
+      ledger_ = std::exchange(o.ledger_, nullptr);
+      bytes_ = std::exchange(o.bytes_, 0);
+    }
+    return *this;
+  }
+  DeviceReservation(const DeviceReservation&) = delete;
+  DeviceReservation& operator=(const DeviceReservation&) = delete;
+
+  uint64_t bytes() const { return bytes_; }
+
+  /// Releases the charge early (idempotent).
+  void Free() {
+    if (ledger_ != nullptr) ledger_->Release(bytes_);
+    ledger_ = nullptr;
+    bytes_ = 0;
+  }
+
+ private:
+  MemoryLedger* ledger_ = nullptr;
+  uint64_t bytes_ = 0;
+};
+
+/// Move-only owning handle to a simulated device allocation with host
+/// backing store. Moving leaves the source empty and uncharged.
 template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
-  DeviceBuffer(MemoryLedger* ledger, size_t count, std::string tag)
-      : ledger_(ledger), tag_(std::move(tag)) {
-    ledger_->Charge(count * sizeof(T), tag_);
-    data_.resize(count);
-  }
-
-  ~DeviceBuffer() { Free(); }
-
-  DeviceBuffer(DeviceBuffer&& o) noexcept { *this = std::move(o); }
-  DeviceBuffer& operator=(DeviceBuffer&& o) noexcept {
-    if (this != &o) {
-      Free();
-      ledger_ = o.ledger_;
-      tag_ = std::move(o.tag_);
-      data_ = std::move(o.data_);
-      o.ledger_ = nullptr;
-    }
-    return *this;
-  }
-  DeviceBuffer(const DeviceBuffer&) = delete;
-  DeviceBuffer& operator=(const DeviceBuffer&) = delete;
+  DeviceBuffer(MemoryLedger* ledger, size_t count, const std::string& tag)
+      : reservation_(ledger, count * sizeof(T), tag), data_(count) {}
 
   bool empty() const { return data_.empty(); }
   size_t size() const { return data_.size(); }
@@ -69,17 +98,13 @@ class DeviceBuffer {
 
   /// Releases the allocation early (idempotent).
   void Free() {
-    if (ledger_ != nullptr && !data_.empty()) {
-      ledger_->Release(bytes());
-    }
+    reservation_.Free();
     data_.clear();
     data_.shrink_to_fit();
-    ledger_ = nullptr;
   }
 
  private:
-  MemoryLedger* ledger_ = nullptr;
-  std::string tag_;
+  DeviceReservation reservation_;
   std::vector<T> data_;
 };
 

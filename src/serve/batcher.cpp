@@ -1,5 +1,9 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
+#include <iterator>
+
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace culda::serve {
@@ -10,9 +14,22 @@ CoalescingBatcher::CoalescingBatcher(BatcherOptions options)
 }
 
 bool CoalescingBatcher::Enqueue(Ticket&& ticket) {
+  // Dropped tickets die after the lock is released: destroying a callback
+  // may close its connection.
+  std::vector<Ticket> dropped;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || queue_.size() >= options_.max_queue) return false;
+    if (closed_) return false;
+    if (queue_.size() >= options_.max_queue) {
+      const auto live = std::stable_partition(
+          queue_.begin(), queue_.end(),
+          [](const Ticket& t) { return !t.abandoned(); });
+      dropped.assign(std::make_move_iterator(live),
+                     std::make_move_iterator(queue_.end()));
+      queue_.erase(live, queue_.end());
+      CULDA_OBS_COUNT("serve.responses.dropped", dropped.size());
+      if (queue_.size() >= options_.max_queue) return false;
+    }
     queue_.push_back(std::move(ticket));
   }
   // Only the empty→non-empty edge can find the consumer waiting; notifying

@@ -20,11 +20,13 @@
 // serve.queue.wait histogram a meaningful SLO signal.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -47,10 +49,19 @@ struct BatcherOptions {
 /// stamp doubles as the start of the request's serve/queue_wait span (the
 /// request's trace context rides on ServeRequest::trace_ctx), so the wait
 /// is visible per-request in the merged trace, not just as a histogram.
+///
+/// `gone`, when set, is the requester's liveness flag: once it reads true
+/// nobody will read the response, so the request is dropped unserved and
+/// `done` is never called (serve.responses.dropped counts these).
 struct Ticket {
   ServeRequest request;
   std::function<void(ServeResponse)> done;
   std::chrono::steady_clock::time_point enqueued;
+  std::shared_ptr<const std::atomic<bool>> gone;
+
+  bool abandoned() const {
+    return gone != nullptr && gone->load(std::memory_order_acquire);
+  }
 };
 
 class CoalescingBatcher {
@@ -59,7 +70,9 @@ class CoalescingBatcher {
 
   /// Thread-safe; never blocks. False = shed (queue full or closed) — the
   /// ticket is only consumed on success, so on failure the caller still
-  /// owns it and answers it (typically with a backpressure response).
+  /// owns it and answers it (typically with a backpressure response). A
+  /// full queue first drops its abandoned tickets: their room is not shed
+  /// from anyone still waiting for an answer.
   bool Enqueue(Ticket&& ticket);
 
   /// Dispatch side (single consumer). Blocks while the queue is empty and

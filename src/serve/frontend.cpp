@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -29,14 +30,24 @@ constexpr int kSocketSendTimeoutS = 1;
 
 /// Serializes response lines onto one fd. Shared (refcounted) between the
 /// reader loop and every in-flight completion callback, so a frontend can
-/// return while the daemon is still completing its requests.
+/// return while the daemon is still completing its requests. A socket
+/// connection's writer owns its fd and closes it when the last reference
+/// drops, after the last response; stdin/stdout are never closed.
 class LineWriter {
  public:
-  explicit LineWriter(int fd) : fd_(fd) {}
+  LineWriter(int fd, bool owns_fd) : fd_(fd), owns_fd_(owns_fd) {}
+  ~LineWriter() {
+    if (owns_fd_) ::close(fd_);
+  }
+  LineWriter(const LineWriter&) = delete;
+  LineWriter& operator=(const LineWriter&) = delete;
+
+  /// Set once a write has failed: no later response reaches the client.
+  const std::atomic<bool>& dead() const { return dead_; }
 
   void WriteLine(const std::string& line) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (dead_) return;
+    if (dead_.load(std::memory_order_relaxed)) return;
     std::string buf = line;
     buf += '\n';
     size_t off = 0;
@@ -52,16 +63,17 @@ class LineWriter {
       // and every later response, and shut the socket down so the
       // connection's reader loop sees EOF and ends. The daemon keeps
       // serving other connections. (shutdown fails harmlessly on a pipe.)
-      dead_ = true;
+      dead_.store(true, std::memory_order_release);
       ::shutdown(fd_, SHUT_RDWR);
       return;
     }
   }
 
  private:
-  int fd_;
-  std::mutex mutex_;
-  bool dead_ = false;  ///< guarded by mutex_
+  const int fd_;
+  const bool owns_fd_;
+  std::mutex mutex_;  ///< serializes writes
+  std::atomic<bool> dead_{false};  ///< written under mutex_, read anywhere
 };
 
 bool ShouldStop(const FrontendOptions& options) {
@@ -70,12 +82,11 @@ bool ShouldStop(const FrontendOptions& options) {
          options.stop->load(std::memory_order_relaxed);
 }
 
-}  // namespace
-
-FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
-                               const ReloadFn& reload,
-                               FrontendOptions options) {
-  auto writer = std::make_shared<LineWriter>(out_fd);
+/// The line loop behind RunLineFrontend, answering through `writer`.
+FrontendResult RunLines(ServeDaemon& daemon, int in_fd,
+                        const std::shared_ptr<LineWriter>& writer,
+                        const ReloadFn& reload,
+                        const FrontendOptions& options) {
   FrontendResult result;
   std::string buffer;
   size_t scan_from = 0;
@@ -135,11 +146,14 @@ FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
                         obs::ChildContext(parsed.request.trace_ctx));
     }
     // Inference: the callback owns a writer reference, so completion after
-    // this frame returns is safe.
+    // this frame returns is safe. The writer's dead flag tells the daemon
+    // when nobody will read the answer.
     daemon.Submit(std::move(parsed.request),
                   [writer](ServeResponse response) {
                     writer->WriteLine(FormatResponse(response));
-                  });
+                  },
+                  std::shared_ptr<const std::atomic<bool>>(writer,
+                                                           &writer->dead()));
     return true;
   };
 
@@ -191,6 +205,16 @@ FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
   // in exactly '\n' when humans write them).
   if (eof && !buffer.empty()) handle_line(buffer);
   return result;
+}
+
+}  // namespace
+
+FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
+                               const ReloadFn& reload,
+                               FrontendOptions options) {
+  return RunLines(daemon, in_fd,
+                  std::make_shared<LineWriter>(out_fd, /*owns_fd=*/false),
+                  reload, options);
 }
 
 SocketFrontend::SocketFrontend(ServeDaemon& daemon, std::string path,
@@ -262,12 +286,16 @@ FrontendResult SocketFrontend::Run() {
       CULDA_LOG(Warn) << "setsockopt(SO_SNDTIMEO) failed: "
                       << std::strerror(errno);
     }
-    connections.emplace_back([this, conn, &total, &merge_mutex] {
+    // The connection's writer owns `conn`: responses still in flight when
+    // the reader sees end of input (a client that half-closes after its
+    // last request) reach the client, and the fd closes after the last one.
+    auto writer = std::make_shared<LineWriter>(conn, /*owns_fd=*/true);
+    connections.emplace_back([this, conn, writer = std::move(writer), &total,
+                              &merge_mutex] {
       FrontendOptions conn_options = options_;
       conn_options.stop = &stop_;
       const FrontendResult r =
-          RunLineFrontend(daemon_, conn, conn, reload_, conn_options);
-      ::close(conn);
+          RunLines(daemon_, conn, writer, reload_, conn_options);
       std::lock_guard<std::mutex> lock(merge_mutex);
       total.lines += r.lines;
       total.drain_requested |= r.drain_requested;

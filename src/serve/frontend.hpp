@@ -65,9 +65,11 @@ FrontendResult RunLineFrontend(ServeDaemon& daemon, int in_fd, int out_fd,
 ///
 /// One dispatch thread writes every connection's responses, so a write to
 /// an accepted socket blocks for at most one second (SO_SNDTIMEO). A client
-/// that does not read within that is disconnected: its later responses are
-/// dropped and its socket is shut down, and everyone else keeps being
-/// served.
+/// that does not read within that is disconnected: its socket is shut
+/// down, its queued requests are discarded unserved, and everyone else
+/// keeps being served. A connection's fd stays open until its last
+/// response is written, so a client that half-closes after its last
+/// request still receives every answer.
 class SocketFrontend {
  public:
   /// Binds and listens; throws culda::Error if the path is taken or too

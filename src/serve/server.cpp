@@ -35,7 +35,8 @@ core::SnapshotPtr ServeDaemon::Publish(core::SnapshotPtr next) {
 }
 
 void ServeDaemon::Submit(ServeRequest request,
-                         std::function<void(ServeResponse)> done) {
+                         std::function<void(ServeResponse)> done,
+                         std::shared_ptr<const std::atomic<bool>> gone) {
   CULDA_OBS_COUNT("serve.requests", 1);
   if (obs::SpanTracer::Global().enabled() && !request.trace_ctx.valid()) {
     // Embedders that skip the frontend still get a request trace; the
@@ -46,6 +47,11 @@ void ServeDaemon::Submit(ServeRequest request,
   ticket.request = std::move(request);
   ticket.done = std::move(done);
   ticket.enqueued = std::chrono::steady_clock::now();
+  ticket.gone = std::move(gone);
+  if (ticket.abandoned()) {
+    CULDA_OBS_COUNT("serve.responses.dropped", 1);
+    return;
+  }
   if (!batcher_.Enqueue(std::move(ticket))) {
     // Enqueue only consumes the ticket on success; here we still own it.
     // Respond inline — backpressure must be immediate and non-blocking.
@@ -86,6 +92,14 @@ void ServeDaemon::DispatchLoop() {
 }
 
 void ServeDaemon::ServeBatch(std::vector<Ticket> batch) {
+  // Nobody will read the answers of abandoned requests; spend nothing on
+  // them.
+  const size_t queued = batch.size();
+  std::erase_if(batch, [](const Ticket& t) { return t.abandoned(); });
+  if (batch.size() < queued) {
+    CULDA_OBS_COUNT("serve.responses.dropped", queued - batch.size());
+  }
+  if (batch.empty()) return;
   const auto dispatched = std::chrono::steady_clock::now();
   CULDA_OBS_COUNT("serve.batches", 1);
   // Unit abuse by design: the latency histogram's value axis is just

@@ -23,13 +23,15 @@
 // SLO metrics (docs/serving.md lists the inventory): serve.request.latency
 // and serve.queue.wait histograms, serve.batch.size (histogram, unit =
 // requests per batch), serve.shed.count / serve.requests / serve.responses
-// counters, serve.snapshot.swaps. All through the PR 4 registry, so
+// (ok, error, dropped) counters, serve.snapshot.swaps. All through the PR 4 registry, so
 // --metrics-out on the tool gets per-batch percentiles for free.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "core/snapshot.hpp"
@@ -79,8 +81,11 @@ class ServeDaemon {
   /// Backpressure is immediate and non-blocking: when the bounded queue is
   /// full, `done` is invoked *inline* with error "shed" (callers must
   /// tolerate reentrant completion); after Drain() begins, with error
-  /// "draining".
-  void Submit(ServeRequest request, std::function<void(ServeResponse)> done);
+  /// "draining". `gone` (optional) is the requester's liveness flag: a
+  /// request whose flag reads true by the time it would be queued or
+  /// served is dropped without inference, and `done` never fires.
+  void Submit(ServeRequest request, std::function<void(ServeResponse)> done,
+              std::shared_ptr<const std::atomic<bool>> gone = nullptr);
 
   /// Future-returning convenience for tests and embedders.
   std::future<ServeResponse> Submit(ServeRequest request);

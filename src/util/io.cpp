@@ -42,9 +42,6 @@ constexpr std::array<std::array<uint32_t, 256>, 16> MakeCrcTables() {
 
 constexpr auto kCrcTables = MakeCrcTables();
 
-/// Payload bytes per bounded read (and per CRC-then-write step on save).
-constexpr uint64_t kChunk = 1 << 20;
-
 /// Best-effort durability: rename gives atomicity, fsync gives persistence
 /// across power loss. Failure to sync is not fatal (some filesystems refuse
 /// it); failure to *write* is caught earlier via the stream state.
@@ -117,8 +114,8 @@ void ContainerWriter::Finish(std::ostream& out, const char (&magic)[8],
     const char* p = s.data != nullptr ? s.data : pods_.data() + s.pod_offset;
     // Checksum each chunk just before writing it, while it is cache-hot.
     for (size_t done = 0; done < s.size;) {
-      const size_t step =
-          static_cast<size_t>(std::min<uint64_t>(kChunk, s.size - done));
+      const size_t step = static_cast<size_t>(
+          std::min<uint64_t>(kIoPieceBytes, s.size - done));
       crc = Crc32({p + done, step}, crc);
       out.write(p + done, static_cast<std::streamsize>(step));
       done += step;
@@ -164,8 +161,8 @@ std::string ReadContainer(std::istream& in, const char (&magic)[8],
   uint32_t crc = Crc32({header, sizeof(header)});
   uint64_t got = 0;
   while (got < declared) {
-    const size_t step =
-        static_cast<size_t>(std::min<uint64_t>(kChunk, declared - got));
+    const size_t step = static_cast<size_t>(
+        std::min<uint64_t>(kIoPieceBytes, declared - got));
     payload.resize(static_cast<size_t>(got) + step);
     in.read(payload.data() + got, static_cast<std::streamsize>(step));
     const uint64_t n = static_cast<uint64_t>(in.gcount());

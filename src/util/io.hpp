@@ -41,6 +41,11 @@ namespace culda::io {
 /// file is checksummed at a few GB/s rather than one table step per byte.
 uint32_t Crc32(std::span<const char> data, uint32_t crc = 0);
 
+/// The bounded step of the input readers (and of the save path's
+/// CRC-then-write loop): a reader holds at most this much input beyond
+/// what it has already parsed, however large the input claims to be.
+inline constexpr uint64_t kIoPieceBytes = 1 << 20;
+
 // ---------------------------------------------------------------- container
 
 /// Payload builder for the container frame. Sections are recorded with

@@ -78,6 +78,68 @@ TEST(DeviceBuffer, MoveAssignReleasesOldAllocation) {
   EXPECT_EQ(dev.allocated_bytes(), 800u);  // a's 400 released, b's 800 kept
 }
 
+TEST(DeviceReservation, DefaultConstructedIsInert) {
+  gpusim::DeviceReservation r;
+  EXPECT_EQ(r.bytes(), 0u);
+  r.Free();  // no ledger — must be a no-op
+}
+
+TEST(DeviceReservation, ChargesWithoutBackingStore) {
+  gpusim::Device dev(gpusim::TitanXMaxwell(), 0);
+  {
+    const auto r = dev.Reserve(1000, "r");
+    EXPECT_EQ(r.bytes(), 1000u);
+    EXPECT_EQ(dev.allocated_bytes(), 1000u);
+  }
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+TEST(DeviceReservation, MoveTransfersTheCharge) {
+  gpusim::Device dev(gpusim::TitanXMaxwell(), 0);
+  auto a = dev.Reserve(400, "a");
+  auto b = std::move(a);
+  EXPECT_EQ(dev.allocated_bytes(), 400u);
+  EXPECT_EQ(a.bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  a.Free();                  // moved-from: nothing left to release
+  EXPECT_EQ(dev.allocated_bytes(), 400u);
+  EXPECT_EQ(b.bytes(), 400u);
+}
+
+TEST(DeviceReservation, MoveAssignReleasesOldCharge) {
+  gpusim::Device dev(gpusim::TitanXMaxwell(), 0);
+  auto a = dev.Reserve(400, "a");
+  auto b = dev.Reserve(800, "b");
+  EXPECT_EQ(dev.allocated_bytes(), 1200u);
+  a = std::move(b);
+  EXPECT_EQ(dev.allocated_bytes(), 800u);  // a's 400 released, b's 800 kept
+}
+
+TEST(DeviceReservation, FreeIsIdempotent) {
+  gpusim::Device dev(gpusim::TitanXMaxwell(), 0);
+  auto a = dev.Reserve(64, "a");
+  a.Free();
+  a.Free();
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+TEST(DeviceReservation, OverCapacityThrowsAndChargesNothing) {
+  gpusim::DeviceSpec spec = gpusim::TitanXMaxwell();
+  spec.memory_bytes = 1000;
+  gpusim::Device dev(spec, 0);
+  const auto kept = dev.Reserve(600, "kept");
+  try {
+    (void)dev.Reserve(401, "chunk");
+    FAIL() << "a reservation beyond capacity was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "out of device memory allocating 401B for 'chunk' (600B "
+                  "of 1000B in use)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dev.allocated_bytes(), 600u);
+}
+
 // ---------------------------------------------------------- corpus edges
 
 TEST(CorpusEdge, AllDocsEmptyExceptOne) {

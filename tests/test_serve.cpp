@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <future>
@@ -423,6 +424,61 @@ TEST(Daemon, ResponseBytesIndependentOfBatchComposition) {
   obs::Metrics().ResetValues();
 }
 
+TEST(Daemon, AbandonedRequestsAreDroppedUnserved) {
+  obs::Metrics().ResetValues();
+  obs::Metrics().set_enabled(true);
+  const obs::Counter& dropped =
+      obs::Metrics().GetCounter("serve.responses.dropped");
+  const obs::Counter& batches = obs::Metrics().GetCounter("serve.batches");
+  ServeDaemonOptions opts;
+  opts.iterations = 5;
+  opts.batch.max_queue = 4;
+  ServeDaemon daemon(opts, TestSnapshot());
+  const auto request = [](const std::string& id) {
+    ServeRequest req;
+    req.id = id;
+    req.words = {1, 2, 3};
+    return req;
+  };
+
+  // A completion callback holds the dispatcher while the queue fills.
+  std::promise<void> plugged, release;
+  std::shared_future<void> released = release.get_future().share();
+  daemon.Submit(request("plug"), [&plugged, released](ServeResponse) {
+    plugged.set_value();
+    released.wait();
+  });
+  plugged.get_future().wait();
+  auto gone_a = std::make_shared<std::atomic<bool>>(false);
+  auto gone_b = std::make_shared<std::atomic<bool>>(false);
+  std::atomic<int> answered{0};
+  const auto count = [&answered](ServeResponse) { ++answered; };
+  daemon.Submit(request("a0"), count, gone_a);
+  daemon.Submit(request("a1"), count, gone_a);
+  daemon.Submit(request("b0"), count, gone_b);
+  daemon.Submit(request("b1"), count, gone_b);
+  // While every requester lives, a full queue sheds.
+  EXPECT_EQ(daemon.Submit(request("shed")).get().error, "shed");
+  // Once some are gone, a full queue gives their room to the next request,
+  // and a request from a gone requester is never queued.
+  gone_b->store(true);
+  std::future<ServeResponse> kept = daemon.Submit(request("kept"));
+  EXPECT_EQ(dropped.value(), 2u);
+  daemon.Submit(request("b2"), count, gone_b);
+  EXPECT_EQ(dropped.value(), 3u);
+  // Requests whose requester goes while they wait are skipped at dispatch.
+  gone_a->store(true);
+  release.set_value();
+  const ServeResponse kept_response = kept.get();
+  EXPECT_TRUE(kept_response.ok) << kept_response.error;
+  daemon.Drain();
+  EXPECT_EQ(dropped.value(), 5u);
+  EXPECT_EQ(answered.load(), 0);
+  EXPECT_EQ(batches.value(), 2u);  // the plug, then "kept" alone
+  obs::Metrics().set_enabled(false);
+  obs::Metrics().ResetValues();
+}
+
 TEST(Daemon, OutOfVocabGetsBadRequestOthersProceed) {
   ServeDaemonOptions opts;
   opts.iterations = 5;
@@ -807,6 +863,72 @@ TEST(Frontend, SocketServesConcurrentClients) {
   server.join();
 }
 
+TEST(Frontend, HalfClosedSocketClientReceivesEveryAnswer) {
+  // A client may send all its requests, half-close, and then read: the
+  // answers still in flight when the daemon sees end of input must reach
+  // it, each exactly once, and the socket must close after the last one.
+  ServeDaemonOptions opts;
+  opts.iterations = 20;
+  ServeDaemon daemon(opts, TestSnapshot());
+  const std::string path =
+      testing::TempDir() + "culda_serve_halfclose_" +
+      std::to_string(static_cast<unsigned>(getpid())) + ".sock";
+  FrontendOptions fopts;
+  fopts.poll_interval_ms = 5;
+  SocketFrontend listener(daemon, path, nullptr, fopts);
+  std::thread server([&] { listener.Run(); });
+
+  const int fd = ConnectUnixSocketForTest(path);
+  ASSERT_GE(fd, 0);
+  constexpr int kRequests = 64;
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += "{\"id\":\"h" + std::to_string(i) +
+                "\",\"words\":[1,2,3,4,5,6,7,8],\"seed\":" +
+                std::to_string(i) + "}\n";
+  }
+  ASSERT_EQ(write(fd, requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+
+  std::string received;
+  bool closed = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!closed && MillisSince(t0) < 10000.0) {
+    pollfd pfd = {fd, POLLIN, 0};
+    if (poll(&pfd, 1, 50) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = read(fd, buf, sizeof buf);
+    if (n <= 0) {
+      closed = true;
+    } else {
+      received.append(buf, static_cast<size_t>(n));
+    }
+  }
+  close(fd);
+  EXPECT_TRUE(closed) << "the daemon never closed the connection";
+  std::vector<int> answers(kRequests, 0);
+  size_t lines = 0;
+  for (size_t pos = 0, nl; (nl = received.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    const std::string line = received.substr(pos, nl - pos);
+    ++lines;
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    for (int i = 0; i < kRequests; ++i) {
+      if (line.find("\"id\":\"h" + std::to_string(i) + "\",") !=
+          std::string::npos) {
+        ++answers[i];
+      }
+    }
+  }
+  EXPECT_EQ(lines, static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(answers[i], 1) << "request h" << i;
+  }
+  listener.Stop();
+  server.join();
+}
+
 TEST(Frontend, NonReadingSocketClientDoesNotStallOthers) {
   // The daemon's writes to a client that has gone away must fail, not kill
   // the test process.
@@ -847,27 +969,32 @@ TEST(Frontend, NonReadingSocketClientDoesNotStallOthers) {
     if (off < flood_line.size()) break;  // the daemon dropped us (or 2 s)
   }
 
-  // A well-behaved client is answered within a few seconds. Until the
-  // daemon has worked off the stalled client's backlog, a full queue may
-  // shed the probe; shedding is an immediate answer, so it retries.
+  // The daemon drops the stalled client once a write to it times out; from
+  // then on the client's sends fail.
+  bool dropped = false;
+  const auto drop_t0 = std::chrono::steady_clock::now();
+  while (!dropped && MillisSince(drop_t0) < 10000.0) {
+    dropped = send(stalled, "\n", 1, MSG_NOSIGNAL) < 0 &&
+              (errno == EPIPE || errno == ECONNRESET);
+  }
+  ASSERT_TRUE(dropped) << "the stalled client was never dropped";
+
+  // The dropped client's queued requests are discarded, not served and not
+  // left holding the queue, so a well-behaved client's first request is
+  // answered, not shed.
   const int probe = ConnectUnixSocketForTest(path);
   ASSERT_GE(probe, 0);
   const std::string req = "{\"id\":\"probe\",\"words\":[1,2,3]}\n";
+  ASSERT_EQ(write(probe, req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
   std::string line;
   const auto t0 = std::chrono::steady_clock::now();
   while (MillisSince(t0) < 5000.0) {
-    ASSERT_EQ(write(probe, req.data(), req.size()),
-              static_cast<ssize_t>(req.size()));
-    line.clear();
-    while (MillisSince(t0) < 5000.0) {
-      pollfd pfd = {probe, POLLIN, 0};
-      if (poll(&pfd, 1, 50) <= 0) continue;
-      char c;
-      if (read(probe, &c, 1) != 1 || c == '\n') break;
-      line.push_back(c);
-    }
-    if (line.find("\"error\":\"shed\"") == std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pollfd pfd = {probe, POLLIN, 0};
+    if (poll(&pfd, 1, 50) <= 0) continue;
+    char c;
+    if (read(probe, &c, 1) != 1 || c == '\n') break;
+    line.push_back(c);
   }
   EXPECT_NE(line.find("\"id\":\"probe\",\"ok\":true"), std::string::npos)
       << "probe answer: '" << line << "'";
