@@ -7,17 +7,16 @@
 
 namespace culda::core {
 
-void WordMajorPhi::CopyToTopicMajor(PhiMatrix& out, uint32_t word_begin,
-                                    uint32_t word_end) const {
+PhiMatrix WordMajorPhi::TopicMajor() const {
   const uint32_t K = num_topics();
-  CULDA_CHECK(out.rows() == K && out.cols() == vocab_size());
-  CULDA_CHECK(word_begin <= word_end && word_end <= vocab_size());
+  const uint32_t V = vocab_size();
+  PhiMatrix out(K, V);
   // Square tiles small enough that a tile's source rows and destination
   // rows both stay in L1 while it is transposed.
   constexpr uint32_t kTile = 64;
   const uint16_t* src = words_.flat().data();
-  for (uint32_t w0 = word_begin; w0 < word_end; w0 += kTile) {
-    const uint32_t w1 = std::min(word_end, w0 + kTile);
+  for (uint32_t w0 = 0; w0 < V; w0 += kTile) {
+    const uint32_t w1 = std::min(V, w0 + kTile);
     for (uint32_t k0 = 0; k0 < K; k0 += kTile) {
       const uint32_t k1 = std::min(K, k0 + kTile);
       for (uint32_t k = k0; k < k1; ++k) {
@@ -28,11 +27,6 @@ void WordMajorPhi::CopyToTopicMajor(PhiMatrix& out, uint32_t word_begin,
       }
     }
   }
-}
-
-PhiMatrix WordMajorPhi::TopicMajor() const {
-  PhiMatrix out(num_topics(), vocab_size());
-  CopyToTopicMajor(out, 0, vocab_size());
   return out;
 }
 
@@ -81,6 +75,18 @@ void PhiReplica::RecomputeTotals(ThreadPool* pool) {
     uint32_t total = 0;
     for (size_t t = 0; t < tiles; ++t) total += partials[t * K + k];
     nk[k] = static_cast<int32_t>(total);
+  }
+}
+
+void CheckWordFrequenciesFitPhi(const corpus::Corpus& corpus) {
+  const std::vector<uint64_t> freq = corpus.WordFrequencies();
+  for (size_t v = 0; v < freq.size(); ++v) {
+    // The paper prunes stop words, which removes exactly these.
+    CULDA_CHECK_MSG(freq[v] <= 0xFFFF,
+                    "word " << v << " occurs " << freq[v]
+                            << " times; 16-bit φ counts can overflow beyond "
+                               "65535 occurrences — prune heavy/stop words "
+                               "first");
   }
 }
 

@@ -97,11 +97,7 @@ class WordMajorPhi {
 
   void Fill(uint16_t v) { words_.Fill(v); }
 
-  /// Copies words [word_begin, word_end) into the topic-major K×V `out`
-  /// (a cache-blocked transpose); other columns of `out` are untouched.
-  void CopyToTopicMajor(PhiMatrix& out, uint32_t word_begin,
-                        uint32_t word_end) const;
-  /// The whole matrix, topic-major.
+  /// The whole matrix, topic-major (a cache-blocked transpose).
   PhiMatrix TopicMajor() const;
 
  private:
@@ -127,6 +123,14 @@ struct PhiReplica {
   /// tiles are summed in parallel; the totals are the same bits either way.
   void RecomputeTotals(ThreadPool* pool = nullptr);
 };
+
+/// Rejects a corpus whose φ counts could wrap 16 bits (§6.1.3). A synced
+/// replica holds *global* counts, so a word's cell reaches the word's corpus
+/// frequency if every occurrence lands on one topic; a word occurring more
+/// than 65535 times could overflow mid-training. Every trainer calls this
+/// before building any state. Throws culda::Error naming the first such
+/// word, its frequency, and the 65535 cap.
+void CheckWordFrequenciesFitPhi(const corpus::Corpus& corpus);
 
 /// The full trained model gathered back to the host (Algorithm 1 lines
 /// 17–20): θ over all documents plus the synchronized φ.

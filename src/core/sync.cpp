@@ -8,22 +8,6 @@ namespace culda::core {
 
 namespace {
 
-/// φ += other, element-wise, with overflow detection for the 16-bit counts
-/// (Section 6.1.3 argues 16 bits suffice; the check makes the claim
-/// falsifiable instead of silently wrapping).
-void AddReplica(WordMajorPhi& into, const WordMajorPhi& from) {
-  auto dst = into.flat();
-  const auto src = from.flat();
-  CULDA_CHECK(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    const uint32_t sum = static_cast<uint32_t>(dst[i]) + src[i];
-    CULDA_CHECK_MSG(sum <= 0xFFFF,
-                    "phi count overflowed 16 bits during reduce; "
-                    "the corpus is too large for compressed counts");
-    dst[i] = static_cast<uint16_t>(sum);
-  }
-}
-
 /// Bills the element-wise add kernel on `device`.
 void BillAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
                    uint64_t cells, gpusim::Stream* stream) {
@@ -40,25 +24,7 @@ void BillAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
                 stream);
 }
 
-/// The functional half of SynchronizePhi: every replica ends holding the
-/// element-wise sum of all of them.
-void SumReplicas(std::vector<PhiReplica>& replicas) {
-  for (size_t i = 1; i < replicas.size(); ++i) {
-    AddReplica(replicas[0].phi, replicas[i].phi);
-  }
-  for (size_t i = 1; i < replicas.size(); ++i) {
-    replicas[i].phi = replicas[0].phi;
-  }
-}
-
 }  // namespace
-
-SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
-                         std::vector<PhiReplica>& replicas, SyncMode mode) {
-  CULDA_CHECK(replicas.size() == group.size());
-  SumReplicas(replicas);
-  return BillSynchronizePhi(group, cfg, replicas[0], mode);
-}
 
 SyncStats BillSynchronizePhi(gpusim::DeviceGroup& group,
                              const CuldaConfig& cfg,
@@ -123,118 +89,25 @@ SyncStats BillSynchronizePhi(gpusim::DeviceGroup& group,
   return stats;
 }
 
-namespace {
-
-/// Shared head of both multi-node overloads: intra-node reduce on every
-/// group (leaves every local replica holding the node sum; reusing
-/// SynchronizePhi keeps one code path — the extra broadcast is counted in
-/// the tail's favour since the tail then only re-broadcasts deltas).
-/// Returns {intra_start, intra_end} on the shared timeline.
-std::pair<double, double> IntraNodeReduce(
-    std::vector<gpusim::DeviceGroup*>& node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*>& node_replicas) {
-  double intra_start = 0, intra_end = 0;
-  for (size_t n = 0; n < node_groups.size(); ++n) {
-    intra_start = std::max(intra_start, node_groups[n]->Now());
-    SynchronizePhi(*node_groups[n], cfg, *node_replicas[n],
-                   SyncMode::kGpuTree);
-    intra_end = std::max(intra_end, node_groups[n]->Now());
-  }
-  return {intra_start, intra_end};
-}
-
-/// Functional inter-node sum: adds every node's replica 0 into node 0's.
-/// Returns a reference to the summed global matrix.
-WordMajorPhi& SumNodeReplicas(
-    std::vector<std::vector<PhiReplica>*>& node_replicas) {
-  WordMajorPhi& global = (*node_replicas[0])[0].phi;
-  for (size_t n = 1; n < node_replicas.size(); ++n) {
-    AddReplica(global, (*node_replicas[n])[0].phi);
-  }
-  return global;
-}
-
-/// Shared tail: install `global` on every replica, align every device to
-/// `end`, bill one intra-node broadcast round, and return the final time.
-double BroadcastWithinNodes(std::vector<gpusim::DeviceGroup*>& node_groups,
-                            std::vector<std::vector<PhiReplica>*>&
-                                node_replicas,
-                            WordMajorPhi& global, uint64_t bytes,
-                            double end) {
-  for (size_t n = 0; n < node_groups.size(); ++n) {
-    for (auto& replica : *node_replicas[n]) {
-      if (&replica.phi != &global) replica.phi = global;
-    }
-    for (size_t g = 0; g < node_groups[n]->size(); ++g) {
-      node_groups[n]->device(g).stream(0).WaitUntil(end);
-    }
-    // One intra-node broadcast round over the peer link.
-    if (node_groups[n]->size() > 1) {
-      node_groups[n]->PeerTransfer(0, 1, bytes);
-    }
-    node_groups[n]->Barrier();
-    end = std::max(end, node_groups[n]->Now());
-  }
-  return end;
-}
-
-uint64_t GlobalPhiBytes(const CuldaConfig& cfg,
-                        std::vector<std::vector<PhiReplica>*>&
-                            node_replicas) {
-  return static_cast<uint64_t>((*node_replicas[0])[0].num_topics) *
-         (*node_replicas[0])[0].vocab_size * cfg.phi_count_bytes();
-}
-
-}  // namespace
-
 MultiNodeSyncStats SynchronizePhiAcrossNodes(
     std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    const gpusim::LinkSpec& network) {
+    const PhiReplica& replica, gpusim::Fabric& fabric) {
   const size_t nodes = node_groups.size();
   CULDA_CHECK(nodes >= 1);
-  CULDA_CHECK(node_replicas.size() == nodes);
-
-  MultiNodeSyncStats stats;
-  const uint64_t bytes = GlobalPhiBytes(cfg, node_replicas);
-  const auto [intra_start, intra_end] =
-      IntraNodeReduce(node_groups, cfg, node_replicas);
-  stats.intra_node_s = intra_end - intra_start;
-  if (nodes == 1) {
-    stats.seconds = stats.intra_node_s;
-    return stats;
-  }
-
-  // Inter-node ring all-reduce of the node sums: each node sends and
-  // receives 2·(N−1)/N of the model. Every node's NIC is busy the whole
-  // time, so the wall cost is that volume over one link.
-  const uint64_t ring_bytes = 2 * bytes * (nodes - 1) / nodes;
-  stats.network_bytes = ring_bytes * nodes;
-  stats.inter_node_s = network.TransferSeconds(ring_bytes);
-
-  WordMajorPhi& global = SumNodeReplicas(node_replicas);
-  const double end =
-      BroadcastWithinNodes(node_groups, node_replicas, global, bytes,
-                           intra_end + stats.inter_node_s);
-  stats.seconds = end - intra_start;
-  return stats;
-}
-
-MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    gpusim::Fabric& fabric) {
-  const size_t nodes = node_groups.size();
-  CULDA_CHECK(nodes >= 1);
-  CULDA_CHECK(node_replicas.size() == nodes);
   CULDA_CHECK_MSG(fabric.size() == nodes,
                   "fabric has " << fabric.size() << " endpoints but "
                                 << nodes << " node groups were passed");
 
   MultiNodeSyncStats stats;
-  const uint64_t bytes = GlobalPhiBytes(cfg, node_replicas);
-  const auto [intra_start, intra_end] =
-      IntraNodeReduce(node_groups, cfg, node_replicas);
+  const uint64_t bytes = static_cast<uint64_t>(replica.num_topics) *
+                         replica.vocab_size * cfg.phi_count_bytes();
+  // Intra-node reduce tree on every group, on the shared timeline.
+  double intra_start = 0, intra_end = 0;
+  for (gpusim::DeviceGroup* group : node_groups) {
+    intra_start = std::max(intra_start, group->Now());
+    BillSynchronizePhi(*group, cfg, replica, SyncMode::kGpuTree);
+    intra_end = std::max(intra_end, group->Now());
+  }
   stats.intra_node_s = intra_end - intra_start;
   if (nodes == 1) {
     stats.seconds = stats.intra_node_s;
@@ -267,8 +140,16 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   stats.network_bytes = fabric.payload_bytes() - payload_before;
   stats.inter_node_s = end - intra_end;
 
-  WordMajorPhi& global = SumNodeReplicas(node_replicas);
-  end = BroadcastWithinNodes(node_groups, node_replicas, global, bytes, end);
+  // Align every device to the all-reduce's end and bill one intra-node
+  // broadcast round over the peer link.
+  for (gpusim::DeviceGroup* group : node_groups) {
+    for (size_t g = 0; g < group->size(); ++g) {
+      group->device(g).stream(0).WaitUntil(end);
+    }
+    if (group->size() > 1) group->PeerTransfer(0, 1, bytes);
+    group->Barrier();
+    end = std::max(end, group->Now());
+  }
   stats.seconds = end - intra_start;
   return stats;
 }

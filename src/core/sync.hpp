@@ -5,6 +5,10 @@
 // sum GPU-side as a log(G) pairwise reduce tree followed by a broadcast —
 // "the CPU is slower than GPUs in terms of matrix adding". The CPU-side
 // alternative the paper rejects is kept as an ablation mode (DESIGN A5).
+//
+// Once synced, every replica holds the same bits, so the simulator keeps one
+// host φ per consistency domain and the functions here only bill the sync
+// (docs/simulator.md, "One host φ per trainer").
 #pragma once
 
 #include <vector>
@@ -28,37 +32,36 @@ struct SyncStats {
   int reduce_rounds = 0;
 };
 
-/// Synchronizes the φ replicas: on return, every replica holds the global
-/// element-wise sum (n_k is NOT recomputed here — run the compute_nk kernel
-/// after, which the trainer overlaps with the θ update).
-/// `replicas.size()` must equal `group.size()`. The host sums the replicas
-/// in index order (integer addition makes that the reduce tree's result; a
-/// count past 16 bits throws), then BillSynchronizePhi bills the sync.
-SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
-                         std::vector<PhiReplica>& replicas,
-                         SyncMode mode = SyncMode::kGpuTree);
-
-/// The billing half of SynchronizePhi: bills synchronizing one φ replica of
-/// `replica`'s shape per device of `group` — the peer transfers and
-/// phi_reduce_add launches of the tree, or the kCpuSum host-link clock —
-/// without touching any φ. For a caller whose one host φ already holds the
-/// global sum on behalf of every device.
+/// Bills synchronizing one φ replica of `replica`'s shape per device of
+/// `group`: the peer transfers and phi_reduce_add launches of the tree, or
+/// the kCpuSum host-link clock. No φ is touched. Trainers keep one host φ
+/// that every device's update_phi adds into, so it already holds the global
+/// sum (the reduce tree's result, since integer addition is exact); n_k is
+/// not recomputed here — the trainer runs the compute_nk pass after, which
+/// it overlaps with the θ update.
 SyncStats BillSynchronizePhi(gpusim::DeviceGroup& group,
                              const CuldaConfig& cfg,
                              const PhiReplica& replica,
                              SyncMode mode = SyncMode::kGpuTree);
 
 /// Extension (the paper's "comparable or better than distributed systems"
-/// thesis, made quantitative): hierarchical φ synchronization across
-/// `num_nodes` machines, each holding `group.size()` GPUs. Per iteration:
+/// thesis, made quantitative): bills hierarchical φ synchronization across
+/// `node_groups.size()` machines, each holding a DeviceGroup of GPUs. Per
+/// iteration:
 ///   1. intra-node reduce tree over the local PCIe/NVLink (as above),
-///   2. inter-node all-reduce of the node sums over `network`
-///      (ring-style: 2·(N−1)/N of the model in and out of every node),
+///   2. inter-node ring all-reduce of the node sums through `fabric`:
+///      2·(N−1) steps, each node forwarding a ⌈model/N⌉ segment to its
+///      successor, billed segment by segment, so per-link LinkSpec
+///      overrides, ring store-and-forward routing, and link contention all
+///      land in the returned time,
 ///   3. intra-node broadcast.
-/// `node_replicas[n]` holds node n's GPU replicas; every group is assumed
-/// identical (the paper's homogeneous platforms). Returns the sync time —
-/// this is the quantity that makes multi-node LDA unattractive versus one
-/// multi-GPU box at 10 Gb/s Ethernet.
+/// Like BillSynchronizePhi it touches no φ: `replica` gives the model's
+/// shape, and the caller's one host φ already holds the global sum. Every
+/// group is assumed identical (the paper's homogeneous platforms). Node
+/// clocks are read and advanced in cluster-absolute time (callers keep all
+/// groups on one shared timeline). `fabric.size()` must equal
+/// `node_groups.size()`. The returned time is what makes multi-node LDA
+/// unattractive versus one multi-GPU box at 10 Gb/s Ethernet.
 struct MultiNodeSyncStats {
   double seconds = 0;
   double intra_node_s = 0;
@@ -68,19 +71,6 @@ struct MultiNodeSyncStats {
 
 MultiNodeSyncStats SynchronizePhiAcrossNodes(
     std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    const gpusim::LinkSpec& network);
-
-/// Fabric-routed variant: the inter-node exchange runs as an explicit ring
-/// all-reduce — 2·(N−1) steps, each node forwarding a 1/N model segment to
-/// its successor — billed segment by segment through `fabric`, so per-link
-/// LinkSpec overrides, ring store-and-forward routing, and link contention
-/// all land in the returned time. Node clocks are read and advanced in
-/// cluster-absolute time (callers keep all groups on one shared timeline).
-/// `fabric.size()` must equal `node_groups.size()`.
-MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    gpusim::Fabric& fabric);
+    const PhiReplica& replica, gpusim::Fabric& fabric);
 
 }  // namespace culda::core

@@ -68,22 +68,7 @@ CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
       group_(opts_.gpus, opts_.peer_link, opts_.pool) {
   cfg_.Validate();
   CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
-  // φ counts are 16-bit (§6.1.3) and the synced replica holds *global*
-  // counts, so a word's cell can reach its corpus frequency if every
-  // occurrence lands on one topic. A word more frequent than 65535 could
-  // therefore wrap φ silently mid-training; reject such corpora up front
-  // instead (the paper prunes stop words, which removes exactly these).
-  {
-    const std::vector<uint64_t> freq = corpus.WordFrequencies();
-    for (size_t v = 0; v < freq.size(); ++v) {
-      CULDA_CHECK_MSG(
-          freq[v] <= 0xFFFF,
-          "word " << v << " occurs " << freq[v]
-                  << " times; 16-bit φ counts can overflow beyond 65535 "
-                     "occurrences — prune heavy/stop words or shard the "
-                     "vocabulary");
-    }
-  }
+  CheckWordFrequenciesFitPhi(corpus);
 
   ChooseM();
   BuildChunks();
@@ -164,8 +149,8 @@ void CuldaTrainer::BuildChunks() {
   // Charge resident footprints against device capacity. WS1 keeps all of a
   // GPU's chunks resident; WS2 keeps two chunk slots (double buffer). Every
   // device holds a double-buffered φ (read replica + accumulator), even
-  // though the host keeps one of each for all of them.
-  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
+  // though the host keeps one of each for all of them (the read model is
+  // allocated by RebuildCountsFromZ).
   accum_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
   footprints_.clear();
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
@@ -194,8 +179,9 @@ void CuldaTrainer::RebuildCountsFromZ() {
   // Counts from the current assignment: θ per chunk, φ from every device
   // into the one host model. Each device touches only its own chunks, and
   // its φ adds are atomic, so the rebuild runs device-parallel up to the φ
-  // sync point, which then has nothing left to add.
-  model_.Clear();
+  // sync point, which then has nothing left to add. A fresh allocation is
+  // already zero, so there is nothing to clear.
+  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
   ForEachDevice([&](size_t g) {
     gpusim::Device& dev = group_.device(g);
     BillZeroPhiKernel(dev, cfg_, model_);
@@ -410,8 +396,7 @@ std::vector<double> CuldaTrainer::ComputeNk() {
 }
 
 void CuldaTrainer::ValidateState() const {
-  validate::ValidateModelState(*corpus_, cfg_, chunks_,
-                               std::span<const PhiReplica>(&model_, 1));
+  validate::ValidateModelState(*corpus_, cfg_, chunks_, model_);
 }
 
 std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {

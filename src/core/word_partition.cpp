@@ -16,6 +16,7 @@ WordPartitionTrainer::WordPartitionTrainer(
       group_(std::move(gpus), std::move(peer_link)) {
   cfg_.Validate();
   CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
+  CheckWordFrequenciesFitPhi(corpus);
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
 
   ranges_ = corpus::PartitionWordsByTokens(corpus, g_count);
@@ -33,9 +34,8 @@ WordPartitionTrainer::WordPartitionTrainer(
     }
     chunk.theta = ThetaMatrix(corpus.num_docs(), cfg_.num_topics);
     chunks_.push_back(std::move(chunk));
-    phi_.emplace_back(cfg_.num_topics, corpus.vocab_size());
-    accum_.emplace_back(cfg_.num_topics, corpus.vocab_size());
   }
+  accum_ = PhiReplica(cfg_.num_topics, corpus.vocab_size());
   theta_global_ = ThetaMatrix(corpus.num_docs(), cfg_.num_topics);
 
   RebuildCountsFromZ();
@@ -47,10 +47,12 @@ WordPartitionTrainer::WordPartitionTrainer(
 
 void WordPartitionTrainer::RebuildCountsFromZ() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
+  // A fresh allocation is already zero; each device still bills its clear.
+  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
-    RunZeroPhiKernel(dev, cfg_, phi_[g]);
-    RunUpdatePhiKernel(dev, cfg_, chunks_[g], phi_[g]);
+    BillZeroPhiKernel(dev, cfg_, model_);
+    RunUpdatePhiKernel(dev, cfg_, chunks_[g], model_);
     RunUpdateThetaKernel(dev, cfg_, chunks_[g]);
   }
   SynchronizeTheta();
@@ -146,8 +148,9 @@ double WordPartitionTrainer::SynchronizeTheta() {
 
 void WordPartitionTrainer::SynchronizeNk() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  // Local column sums, then an all-reduce of K integers (tiny).
-  std::vector<int32_t> nk(cfg_.num_topics, 0);
+  // Local column sums, then an all-reduce of K integers (tiny). The sum of
+  // the per-device column sums is the whole model's, computed once.
+  model_.RecomputeTotals();
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
     const auto& range = ranges_[g];
@@ -159,23 +162,12 @@ void WordPartitionTrainer::SynchronizeNk() {
                                 cfg_.phi_count_bytes() / ctx.grid_dim());
                  ctx.WriteGlobal(cfg_.num_topics * 4 / ctx.grid_dim());
                });
-    std::vector<int64_t> sums(cfg_.num_topics, 0);
-    for (uint32_t v = range.word_begin; v < range.word_end; ++v) {
-      const auto counts = phi_[g].phi.Word(v);
-      for (uint32_t k = 0; k < cfg_.num_topics; ++k) sums[k] += counts[k];
-    }
-    for (uint32_t k = 0; k < cfg_.num_topics; ++k) {
-      nk[k] += static_cast<int32_t>(sums[k]);
-    }
   }
   if (g_count > 1) {
     for (size_t g = 1; g < g_count; ++g) {
       group_.PeerTransfer(g, 0, cfg_.num_topics * 4);
       group_.PeerTransfer(0, g, cfg_.num_topics * 4);
     }
-  }
-  for (uint32_t g = 0; g < g_count; ++g) {
-    phi_[g].nk = nk;
   }
 }
 
@@ -186,21 +178,23 @@ IterationStats WordPartitionTrainer::Step() {
   Stopwatch wall;
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
 
+  // Zeroed once for every device; each device still bills its zero_phi.
+  accum_.Clear();
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
     ChunkState& chunk = chunks_[g];
     const auto sampling =
-        RunSamplingKernel(dev, cfg_, chunk, phi_[g], iteration_ + 1);
+        RunSamplingKernel(dev, cfg_, chunk, model_, iteration_ + 1);
     stats.sampling_s += sampling.time.total_s;
     // φ columns are exclusively owned: rebuild locally, no sync.
     stats.update_phi_s +=
-        RunZeroPhiKernel(dev, cfg_, accum_[g]).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, accum_).time.total_s;
     stats.update_phi_s +=
-        RunUpdatePhiKernel(dev, cfg_, chunk, accum_[g]).time.total_s;
+        RunUpdatePhiKernel(dev, cfg_, chunk, accum_).time.total_s;
     stats.update_theta_s +=
         RunUpdateThetaKernel(dev, cfg_, chunk).time.total_s;
   }
-  std::swap(phi_, accum_);
+  std::swap(model_, accum_);
   stats.sync_s += SynchronizeTheta();
   SynchronizeNk();
   group_.Barrier();
@@ -227,13 +221,8 @@ GatheredModel WordPartitionTrainer::Gather() const {
   model.vocab_size = corpus_->vocab_size();
   model.num_docs = corpus_->num_docs();
   model.theta = theta_global_;
-  model.phi = PhiMatrix(cfg_.num_topics, corpus_->vocab_size());
-  // Stitch the exclusive column ranges together.
-  for (size_t g = 0; g < group_.size(); ++g) {
-    phi_[g].phi.CopyToTopicMajor(model.phi, ranges_[g].word_begin,
-                                 ranges_[g].word_end);
-  }
-  model.nk = phi_[0].nk;
+  model.phi = model_.phi.TopicMajor();
+  model.nk = model_.nk;
   return model;
 }
 

@@ -63,8 +63,13 @@ class WordPartitionTrainer {
   std::vector<ChunkState> chunks_;   ///< one word-range chunk per GPU;
                                      ///< chunk.theta holds the GLOBAL θ
                                      ///< between iterations
-  std::vector<PhiReplica> phi_;      ///< full-shape, only owned columns used
-  std::vector<PhiReplica> accum_;    ///< φ double buffer (local columns)
+  /// Double-buffered φ, one host copy standing for every GPU's replica, as
+  /// in CuldaTrainer: `model_` is what sampling reads, `accum_` what
+  /// update_phi rebuilds. Each GPU reads and writes only its own columns,
+  /// so the stitched-together device replicas are exactly these matrices;
+  /// every kernel is still billed per device.
+  PhiReplica model_;
+  PhiReplica accum_;
   ThetaMatrix theta_global_;
   uint32_t iteration_ = 0;
   uint64_t last_theta_sync_bytes_ = 0;

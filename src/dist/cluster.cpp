@@ -51,18 +51,7 @@ ClusterTrainer::ClusterTrainer(const corpus::Corpus& corpus,
   CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
   CULDA_CHECK_MSG(opts_.num_nodes >= 1, "num_nodes must be >= 1");
   CULDA_CHECK_MSG(!opts_.gpus.empty(), "need at least one GPU per node");
-  // The canonical/synced φ holds *global* 16-bit counts; same precondition
-  // as CuldaTrainer (see its constructor for the rationale).
-  {
-    const std::vector<uint64_t> freq = corpus.WordFrequencies();
-    for (size_t v = 0; v < freq.size(); ++v) {
-      CULDA_CHECK_MSG(
-          freq[v] <= 0xFFFF,
-          "word " << v << " occurs " << freq[v]
-                  << " times; 16-bit φ counts can overflow beyond 65535 "
-                     "occurrences — prune heavy/stop words first");
-    }
-  }
+  core::CheckWordFrequenciesFitPhi(corpus);
   nodes_.reserve(opts_.num_nodes);
   for (uint32_t n = 0; n < opts_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<gpusim::DeviceGroup>(
@@ -136,34 +125,19 @@ void ClusterTrainer::ForEachNodeGpu(
 }
 
 void ClusterTrainer::InitializeModel() {
-  const size_t g_count = opts_.gpus.size();
   if (opts_.mode == DistMode::kSync) {
-    replicas_.resize(nodes_.size());
-    accum_.resize(nodes_.size());
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      for (size_t g = 0; g < g_count; ++g) {
-        replicas_[n].emplace_back(cfg_.num_topics, corpus_->vocab_size());
-        accum_[n].emplace_back(cfg_.num_topics, corpus_->vocab_size());
-      }
-    }
+    // Every (node, GPU) cell adds its chunk into the one freshly allocated
+    // (so already zero) model; each still bills its zero_phi.
+    model_ = core::PhiReplica(cfg_.num_topics, corpus_->vocab_size());
+    accum_ = core::PhiReplica(cfg_.num_topics, corpus_->vocab_size());
     ForEachNodeGpu([&](size_t n, size_t g) {
       gpusim::Device& dev = nodes_[n]->device(g);
       core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
-      core::RunZeroPhiKernel(dev, cfg_, replicas_[n][g]);
-      core::RunUpdatePhiKernel(dev, cfg_, chunk, replicas_[n][g]);
+      core::BillZeroPhiKernel(dev, cfg_, model_);
+      core::RunUpdatePhiKernel(dev, cfg_, chunk, model_);
       core::RunUpdateThetaKernel(dev, cfg_, chunk);
     });
-    std::vector<gpusim::DeviceGroup*> groups;
-    std::vector<std::vector<core::PhiReplica>*> reps;
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      groups.push_back(nodes_[n].get());
-      reps.push_back(&replicas_[n]);
-    }
-    core::SynchronizePhiAcrossNodes(groups, cfg_, reps, fabric_);
-    ForEachNodeGpu([&](size_t n, size_t g) {
-      core::RunComputeNkKernel(nodes_[n]->device(g), cfg_, replicas_[n][g]);
-    });
-    for (auto& node : nodes_) node->Barrier();
+    SyncAndComputeNk();
     return;
   }
 
@@ -238,6 +212,8 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
   // The per-device schedule is CuldaTrainer's WS1 (resident chunks, φ
   // double-buffered, θ overlapping the sync on stream 1).
   std::vector<CellPartial> partials(chunks_.size());
+  // Zeroed once for every cell; each cell still bills its zero_phi.
+  accum_.Clear();
   ForEachNodeGpu([&](size_t n, size_t g) {
     CellPartial& part = partials[ChunkIndex(n, g)];
     gpusim::Device& dev = nodes_[n]->device(g);
@@ -245,12 +221,12 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
     gpusim::Stream& compute = dev.stream(0);
 
     const auto sampling = core::RunSamplingKernel(
-        dev, cfg_, chunk, replicas_[n][g], sweep_ + 1, &compute, nullptr,
+        dev, cfg_, chunk, model_, sweep_ + 1, &compute, nullptr,
         opts_.sampler, opts_.mh_cycles);
     part.sampling_s += sampling.time.total_s;
 
-    core::RunZeroPhiKernel(dev, cfg_, accum_[n][g], &compute);
-    core::RunUpdatePhiKernel(dev, cfg_, chunk, accum_[n][g], &compute);
+    core::BillZeroPhiKernel(dev, cfg_, accum_, &compute);
+    core::RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute);
 
     gpusim::Stream& theta_stream = dev.stream(1);
     theta_stream.WaitUntil(sampling.end_s);
@@ -260,22 +236,22 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
     stats.sampling_s += part.sampling_s;
   }
 
+  // The synchronized accumulator becomes the next sweep's read model.
+  std::swap(model_, accum_);
+  stats.sync_s = SyncAndComputeNk();
+}
+
+double ClusterTrainer::SyncAndComputeNk() {
   std::vector<gpusim::DeviceGroup*> groups;
-  std::vector<std::vector<core::PhiReplica>*> accums;
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    groups.push_back(nodes_[n].get());
-    accums.push_back(&accum_[n]);
-  }
+  for (auto& node : nodes_) groups.push_back(node.get());
   const auto sync =
-      core::SynchronizePhiAcrossNodes(groups, cfg_, accums, fabric_);
-  stats.sync_s = sync.seconds;
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    std::swap(replicas_[n], accum_[n]);
-  }
+      core::SynchronizePhiAcrossNodes(groups, cfg_, model_, fabric_);
+  model_.RecomputeTotals(opts_.pool);
   ForEachNodeGpu([&](size_t n, size_t g) {
-    core::RunComputeNkKernel(nodes_[n]->device(g), cfg_, replicas_[n][g]);
+    core::BillComputeNkKernel(nodes_[n]->device(g), cfg_, model_);
   });
   for (auto& node : nodes_) node->Barrier();
+  return sync.seconds;
 }
 
 void ClusterTrainer::SweepAsync(SweepStats& stats) {
@@ -497,8 +473,8 @@ core::GatheredModel ClusterTrainer::Gather() const {
     model.phi = canonical_.phi.TopicMajor();
     model.nk = canonical_.nk;
   } else {
-    model.phi = replicas_[0][0].phi.TopicMajor();
-    model.nk = replicas_[0][0].nk;
+    model.phi = model_.phi.TopicMajor();
+    model.nk = model_.nk;
   }
   return model;
 }

@@ -151,6 +151,10 @@ class ClusterTrainer {
   /// otherwise. Callers reduce per-cell partials in fixed order afterwards.
   void ForEachNodeGpu(const std::function<void(size_t, size_t)>& fn);
   void SweepSync(SweepStats& stats);
+  /// kSync: bills the φ all-reduce on every node, computes n_k of model_
+  /// once and bills compute_nk on every device, then barriers every node.
+  /// Returns the sync's seconds.
+  double SyncAndComputeNk();
   void SweepAsync(SweepStats& stats);
   /// One async round: route shards (sequential), sample resident slices
   /// (parallel), fold deltas into the canonical model (sequential).
@@ -167,9 +171,15 @@ class ClusterTrainer {
   gpusim::Fabric fabric_;
   std::vector<core::ChunkState> chunks_;  ///< N·G, node-major
 
-  // kSync state: per-node φ replica double buffer, as in CuldaTrainer.
-  std::vector<std::vector<core::PhiReplica>> replicas_;
-  std::vector<std::vector<core::PhiReplica>> accum_;
+  // kSync state: the φ double buffer, one host copy standing for all N·G
+  // device replicas, as in CuldaTrainer. `model_` is the synchronized model
+  // every cell samples against; `accum_` collects every cell's new counts
+  // (update_phi's adds are atomic, so concurrent cells share it) and becomes
+  // `model_` after the sync. After the all-reduce every replica would hold
+  // the same bits; the kernels, the intra-node trees and the fabric ring
+  // are still billed per device and per node.
+  core::PhiReplica model_;
+  core::PhiReplica accum_;
 
   // kAsync state.
   std::vector<corpus::WordRange> shards_;  ///< N contiguous word ranges
@@ -179,7 +189,9 @@ class ClusterTrainer {
   /// stand-in for the union of all holders.
   core::PhiReplica canonical_;
   /// Per-node sampling view: φ whose shard-s columns reflect the canonical
-  /// model as of round last_refresh_[n][s].
+  /// model as of round last_refresh_[n][s]. These are real staleness copies
+  /// (each node samples against its own mix of shard ages), so async mode
+  /// keeps N of them; the G GPUs of a node share their node's view.
   std::vector<core::PhiReplica> views_;
   std::vector<std::vector<uint32_t>> last_refresh_;  ///< [node][shard] round
   /// Per-chunk filtered work lists, [shard][chunk] (descending-size order

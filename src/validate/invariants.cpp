@@ -242,43 +242,6 @@ void CheckPhiSaturationMargin(const core::PhiReplica& replica,
   }
 }
 
-void CheckReplicasAgree(std::span<const core::PhiReplica> replicas) {
-  if (replicas.empty()) {
-    Fail("phi-replicas-agree", {}, "no replicas to check");
-  }
-  const core::PhiReplica& first = replicas[0];
-  for (size_t g = 1; g < replicas.size(); ++g) {
-    const core::PhiReplica& other = replicas[g];
-    if (other.num_topics != first.num_topics ||
-        other.vocab_size != first.vocab_size) {
-      std::ostringstream os;
-      os << "device " << g << " replica is " << other.num_topics << "×"
-         << other.vocab_size << ", device 0 is " << first.num_topics << "×"
-         << first.vocab_size;
-      Fail("phi-replicas-agree", {}, os.str());
-    }
-    for (uint32_t k = 0; k < first.num_topics; ++k) {
-      for (uint32_t v = 0; v < first.vocab_size; ++v) {
-        if (first.phi(k, v) != other.phi(k, v)) {
-          std::ostringstream os;
-          os << "device " << g << " φ" << Cell(k, v) << " = "
-             << other.phi(k, v) << " but device 0 holds " << first.phi(k, v)
-             << " (post-sync replicas must be identical)";
-          Fail("phi-replicas-agree", {}, os.str());
-        }
-      }
-    }
-    for (uint32_t k = 0; k < first.num_topics; ++k) {
-      if (first.nk[k] != other.nk[k]) {
-        std::ostringstream os;
-        os << "device " << g << " n_k[" << k << "] = " << other.nk[k]
-           << " but device 0 holds " << first.nk[k];
-        Fail("phi-replicas-agree", {}, os.str());
-      }
-    }
-  }
-}
-
 void ValidateChunk(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
                    const core::ChunkState& chunk, std::string_view context) {
   CheckChunkLayout(corpus, chunk, context);
@@ -289,7 +252,7 @@ void ValidateChunk(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
 void ValidateModelState(const corpus::Corpus& corpus,
                         const core::CuldaConfig& cfg,
                         std::span<const core::ChunkState> chunks,
-                        std::span<const core::PhiReplica> replicas,
+                        const core::PhiReplica& model,
                         const ValidateOptions& options) {
   uint64_t tokens = 0, next_doc = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
@@ -312,8 +275,6 @@ void ValidateModelState(const corpus::Corpus& corpus,
     Fail("chunk-coverage", {}, os.str());
   }
 
-  CheckReplicasAgree(replicas);
-  const core::PhiReplica& model = replicas[0];
   CheckNkMatchesPhi(model);
   CheckPhiTotalTokens(model, corpus.num_tokens());
   CheckPhiMatchesZ(chunks, model);

@@ -3,8 +3,8 @@
 // The paper's data-compression design (§6.1.3) stores φ counts, θ column
 // indices, and topic assignments in 16 bits. That representation has failure
 // modes — a heavy word's count wrapping past 65535, a θ row drifting from
-// the z it was compacted from, a torn sync leaving replicas disagreeing —
-// that would otherwise corrupt training silently for hundreds of iterations.
+// the z it was compacted from, a mis-applied update moving a φ count — that
+// would otherwise corrupt training silently for hundreds of iterations.
 // Each checker here verifies one named invariant and throws ValidationError
 // with the invariant's name and the first violating location, so corruption
 // is reported where it appears, not where it is eventually noticed.
@@ -20,7 +20,6 @@
 //   phi-total-tokens        ΣΣ φ equals the corpus token count
 //   phi-matches-z           φ cells equal per-(topic,word) histograms of z
 //   phi-saturation-margin   no φ cell within `saturation_margin` of 65535
-//   phi-replicas-agree      all device replicas hold identical φ and n_k
 //   model-consistency       gathered-model checks for serving (no corpus)
 //
 // All checkers are read-only; a state that passes them is bit-identical to
@@ -59,8 +58,8 @@ struct ValidateOptions {
   /// A φ cell at or above 65535 − margin fails `phi-saturation-margin`: the
   /// count is not wrong yet, but one more epoch of drift toward a single
   /// topic would wrap it, so the run is stopped while the state is still
-  /// exact. 0 disables the margin (the hard overflow guards in update_phi
-  /// and the φ-sync reduce stay on regardless).
+  /// exact. 0 disables the margin (update_phi's hard overflow guard, which
+  /// sees every device's adds into the one host φ, stays on regardless).
   uint32_t saturation_margin = 1024;
 };
 
@@ -106,10 +105,6 @@ void CheckPhiMatchesZ(std::span<const core::ChunkState> chunks,
 void CheckPhiSaturationMargin(const core::PhiReplica& replica,
                               uint32_t margin, std::string_view context = {});
 
-/// `phi-replicas-agree`: after a sync every device replica must hold the
-/// same φ and n_k; reports the first disagreeing (device, cell).
-void CheckReplicasAgree(std::span<const core::PhiReplica> replicas);
-
 // --- Entry points -----------------------------------------------------------
 
 /// Everything that can be said about one chunk in isolation: layout,
@@ -119,13 +114,14 @@ void ValidateChunk(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
                    std::string_view context = {});
 
 /// The full invariant inventory over a trainer's state: every chunk, chunk
-/// coverage of the corpus, replica agreement, and replica 0 against the
-/// corpus and the assignments. `replicas` must be post-sync (each holding
-/// the global counts). CuldaTrainer::ValidateState() forwards here.
+/// coverage of the corpus, and the model against the corpus and the
+/// assignments. `model` must be post-sync (holding the global counts) — the
+/// one host φ every device replica stands for. CuldaTrainer::ValidateState()
+/// forwards here.
 void ValidateModelState(const corpus::Corpus& corpus,
                         const core::CuldaConfig& cfg,
                         std::span<const core::ChunkState> chunks,
-                        std::span<const core::PhiReplica> replicas,
+                        const core::PhiReplica& model,
                         const ValidateOptions& options = {});
 
 /// `model-consistency` for a gathered/loaded model without its corpus (the

@@ -1,8 +1,11 @@
 // Tests for the simulated multi-node fabric and the ClusterTrainer
 // (docs/distributed.md): fabric routing/cost accounting, strict flag
 // parsing, the staleness-bound invariant, worker-count bit-identity of the
-// async schedule, and sync-mode equivalence to a single multi-GPU machine.
+// sync and async schedules, and sync-mode equivalence to a single multi-GPU
+// machine.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/trainer.hpp"
 #include "corpus/synthetic.hpp"
@@ -237,6 +240,39 @@ TEST(Cluster, AsyncScheduleIsWorkerCountInvariant) {
   }
   EXPECT_EQ(serial.ExportAssignments(), parallel.ExportAssignments());
   EXPECT_EQ(serial.Now(), parallel.Now());
+}
+
+TEST(Cluster, SyncScheduleIsWorkerCountInvariant) {
+  // With a pool, every (node, GPU) cell adds into the one host accumulator
+  // concurrently; the model, the stats and the clocks must not notice.
+  const auto c = TestCorpus();
+  const auto cfg = TestConfig();
+  auto opts = TestOptions(2, 2, DistMode::kSync);
+  ClusterTrainer serial(c, cfg, opts);
+  ThreadPool pool(3);
+  opts.pool = &pool;
+  ClusterTrainer parallel(c, cfg, opts);
+  for (int i = 0; i < 2; ++i) {
+    const SweepStats a = serial.Sweep();
+    const SweepStats b = parallel.Sweep();
+    EXPECT_EQ(a.sweep, b.sweep) << "sweep " << i;
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "sweep " << i;
+    EXPECT_EQ(a.sampling_s, b.sampling_s) << "sweep " << i;
+    EXPECT_EQ(a.sync_s, b.sync_s) << "sweep " << i;
+    EXPECT_EQ(a.network_payload_bytes, b.network_payload_bytes);
+    EXPECT_EQ(a.network_wire_bytes, b.network_wire_bytes);
+    EXPECT_EQ(a.max_staleness, b.max_staleness);
+    EXPECT_EQ(a.theta_nnz, b.theta_nnz);
+  }
+  EXPECT_EQ(serial.ExportAssignments(), parallel.ExportAssignments());
+  EXPECT_EQ(serial.Now(), parallel.Now());
+  const core::GatheredModel ms = serial.Gather();
+  const core::GatheredModel mp = parallel.Gather();
+  EXPECT_TRUE(std::ranges::equal(ms.phi.flat(), mp.phi.flat()));
+  EXPECT_EQ(ms.nk, mp.nk);
+  EXPECT_TRUE(std::ranges::equal(ms.theta.row_ptr(), mp.theta.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(ms.theta.col_idx(), mp.theta.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(ms.theta.values(), mp.theta.values()));
 }
 
 TEST(Cluster, AsyncLikelihoodImproves) {

@@ -2,6 +2,8 @@
 // priors, asymmetric hyperopt, and multi-node hierarchical synchronization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/evaluator.hpp"
 #include "core/hyperopt.hpp"
 #include "core/inference.hpp"
@@ -199,74 +201,62 @@ TEST(AsymmetricAlpha, OptimizerValidatesInputs) {
 }
 
 // ------------------------------------------------------- multi-node sync
+// SynchronizePhiAcrossNodes bills the sync of the caller's one host φ,
+// which already holds the global sum; these run it on a uniform 10 Gb/s
+// Ethernet ring.
 
-std::vector<core::PhiReplica> FilledReplicas(size_t g, uint16_t value) {
-  std::vector<core::PhiReplica> out;
-  for (size_t i = 0; i < g; ++i) {
-    core::PhiReplica r(4, 10);
-    r.phi.Fill(value);
-    out.push_back(std::move(r));
-  }
-  return out;
+gpusim::DeviceGroup TwoGpuNode() {
+  return gpusim::DeviceGroup(
+      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
 }
 
 TEST(MultiNodeSync, SumsAcrossNodesAndGpus) {
   core::CuldaConfig cfg;
   cfg.num_topics = 4;
-  gpusim::DeviceGroup node0(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  gpusim::DeviceGroup node1(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  auto r0 = FilledReplicas(2, 1);
-  auto r1 = FilledReplicas(2, 2);
+  gpusim::DeviceGroup node0 = TwoGpuNode();
+  gpusim::DeviceGroup node1 = TwoGpuNode();
+  gpusim::Fabric fabric(2, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
+  const core::PhiReplica replica(4, 10);
 
   const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node0, &node1}, cfg, {&r0, &r1}, gpusim::Ethernet10G());
-  // Each node's intra sum = 2×value; global = 2·1 + 2·2 = 6.
-  for (const auto* reps : {&r0, &r1}) {
-    for (const auto& r : *reps) {
-      for (const uint16_t cell : r.phi.flat()) {
-        ASSERT_EQ(cell, 6);
-      }
-    }
-  }
+      {&node0, &node1}, cfg, replica, fabric);
+  // Both nodes reduce locally, the node sums cross the ring — 2·(N−1)
+  // steps, each moving one 1/N segment per node, so 2·(N−1)/N of the model
+  // through every NIC — and every GPU ends at or after the exchange.
+  const uint64_t bytes = 4 * 10 * cfg.phi_count_bytes();
+  EXPECT_GT(stats.intra_node_s, 0.0);
   EXPECT_GT(stats.inter_node_s, 0.0);
-  EXPECT_GT(stats.network_bytes, 0u);
+  EXPECT_EQ(stats.network_bytes, 2 * bytes);
+  EXPECT_EQ(fabric.payload_bytes(), stats.network_bytes);
+  EXPECT_EQ(stats.seconds, std::max(node0.Now(), node1.Now()));
+  EXPECT_GE(std::min(node0.Now(), node1.Now()),
+            stats.intra_node_s + stats.inter_node_s);
 }
 
 TEST(MultiNodeSync, SingleNodeHasNoNetworkCost) {
   core::CuldaConfig cfg;
   cfg.num_topics = 4;
-  gpusim::DeviceGroup node(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  auto reps = FilledReplicas(2, 3);
+  gpusim::DeviceGroup node = TwoGpuNode();
+  gpusim::Fabric fabric(1, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
   const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node}, cfg, {&reps}, gpusim::Ethernet10G());
+      {&node}, cfg, core::PhiReplica(4, 10), fabric);
   EXPECT_EQ(stats.network_bytes, 0u);
   EXPECT_EQ(stats.inter_node_s, 0.0);
+  EXPECT_EQ(fabric.transfer_count(), 0u);
 }
 
 TEST(MultiNodeSync, EthernetDominatesIntraNode) {
   // The whole point: at 10 Gb/s the inter-node phase dwarfs the PCIe tree.
   core::CuldaConfig cfg;
   cfg.num_topics = 256;
-  auto make_big = [](size_t g) {
-    std::vector<core::PhiReplica> out;
-    for (size_t i = 0; i < g; ++i) {
-      core::PhiReplica r(256, 10000);
-      r.phi.Fill(1);
-      out.push_back(std::move(r));
-    }
-    return out;
-  };
-  gpusim::DeviceGroup node0(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  gpusim::DeviceGroup node1(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  auto r0 = make_big(2);
-  auto r1 = make_big(2);
+  gpusim::DeviceGroup node0 = TwoGpuNode();
+  gpusim::DeviceGroup node1 = TwoGpuNode();
+  gpusim::Fabric fabric(2, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
   const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node0, &node1}, cfg, {&r0, &r1}, gpusim::Ethernet10G());
+      {&node0, &node1}, cfg, core::PhiReplica(256, 10000), fabric);
   EXPECT_GT(stats.inter_node_s, 3 * stats.intra_node_s);
 }
 

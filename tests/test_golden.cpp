@@ -443,14 +443,17 @@ TEST(SharedPhi, ConcurrentUpdatesIntoOneReplicaEqualReducedReplicas) {
   const auto chunks = GoldenChunks(corpus, cfg, kDevices);
   const std::vector<gpusim::DeviceSpec> specs(kDevices, gpusim::V100Volta());
 
-  // Per-device replicas, reduced and broadcast by the sync.
+  // Per-device replicas, each built alone, and their element-wise sum —
+  // what a reduce tree over them would leave on every device.
   gpusim::DeviceGroup serial(specs);
-  std::vector<PhiReplica> replicas;
+  std::vector<uint32_t> reduced(
+      static_cast<size_t>(cfg.num_topics) * corpus.vocab_size(), 0);
   for (uint32_t g = 0; g < kDevices; ++g) {
-    replicas.emplace_back(cfg.num_topics, corpus.vocab_size());
-    RunUpdatePhiKernel(serial.device(g), cfg, chunks[g], replicas[g]);
+    PhiReplica replica(cfg.num_topics, corpus.vocab_size());
+    RunUpdatePhiKernel(serial.device(g), cfg, chunks[g], replica);
+    const auto cells = replica.phi.flat();
+    for (size_t i = 0; i < cells.size(); ++i) reduced[i] += cells[i];
   }
-  SynchronizePhi(serial, cfg, replicas);
 
   // Every device's launch adding into one replica at the same time, each
   // launch also spreading its blocks over the same pool. The latch holds
@@ -467,10 +470,7 @@ TEST(SharedPhi, ConcurrentUpdatesIntoOneReplicaEqualReducedReplicas) {
     RunUpdatePhiKernel(pooled.device(g), cfg, chunks[g], shared);
   });
 
-  for (uint32_t g = 0; g < kDevices; ++g) {
-    ASSERT_TRUE(std::ranges::equal(shared.phi.flat(), replicas[g].phi.flat()))
-        << "replica " << g;
-  }
+  ASSERT_TRUE(std::ranges::equal(shared.phi.flat(), reduced));
 }
 
 TEST(SharedPhi, PooledTotalsEqualSerialTotals) {

@@ -2,6 +2,8 @@
 // updates, sampling determinism and validity, and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/kernels.hpp"
 #include "corpus/chunking.hpp"
 #include "corpus/synthetic.hpp"
@@ -89,6 +91,22 @@ TEST(UpdatePhi, BillsOneAtomicPerToken) {
   PhiReplica fresh(f.cfg.num_topics, f.corpus.vocab_size());
   const auto rec = RunUpdatePhiKernel(f.device, f.cfg, f.chunk, fresh);
   EXPECT_EQ(rec.counters.atomic_ops, f.corpus.num_tokens());
+}
+
+TEST(UpdatePhi, OverflowPastSixteenBitsThrows) {
+  // Every device's adds land in one host φ, so this guard is what catches a
+  // summed count wrapping past 65535.
+  Fixture f;
+  PhiReplica full(f.cfg.num_topics, f.corpus.vocab_size());
+  full.phi(f.chunk.z[0], f.chunk.layout.token_word[0]) = 0xFFFF;
+  try {
+    RunUpdatePhiKernel(f.device, f.cfg, f.chunk, full);
+    FAIL() << "a φ cell at 0xFFFF must not be incremented";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("phi count overflowed 16 bits"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ZeroPhi, ClearsCountsAndTotals) {

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
 
 #include "core/trainer.hpp"
+#include "core/word_partition.hpp"
 #include "corpus/chunking.hpp"
 #include "corpus/synthetic.hpp"
 #include "corpus/word_first.hpp"
+#include "dist/cluster.hpp"
 #include "util/philox.hpp"
 #include "validate/invariants.hpp"
 
@@ -36,7 +39,7 @@ core::CuldaConfig SmallConfig(uint32_t k = 16) {
 
 struct BuiltState {
   std::vector<core::ChunkState> chunks;
-  std::vector<core::PhiReplica> replicas;
+  core::PhiReplica model;
 };
 
 /// A consistent trainer-shaped state built outside the trainer (its members
@@ -44,7 +47,7 @@ struct BuiltState {
 /// a clean build passes every checker and any single corruption is the only
 /// inconsistency.
 BuiltState BuildState(const corpus::Corpus& c, const core::CuldaConfig& cfg,
-                      uint32_t num_chunks, uint32_t num_replicas = 1) {
+                      uint32_t num_chunks) {
   BuiltState s;
   for (const auto& spec : corpus::PartitionByTokens(c, num_chunks)) {
     core::ChunkState chunk;
@@ -65,14 +68,13 @@ BuiltState BuildState(const corpus::Corpus& c, const core::CuldaConfig& cfg,
     });
     s.chunks.push_back(std::move(chunk));
   }
-  core::PhiReplica rep(cfg.num_topics, c.vocab_size());
+  s.model = core::PhiReplica(cfg.num_topics, c.vocab_size());
   for (const auto& chunk : s.chunks) {
     for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      rep.phi(chunk.z[t], chunk.layout.token_word[t]) += 1;
+      s.model.phi(chunk.z[t], chunk.layout.token_word[t]) += 1;
     }
   }
-  rep.RecomputeTotals();
-  for (uint32_t g = 0; g < num_replicas; ++g) s.replicas.push_back(rep);
+  s.model.RecomputeTotals();
   return s;
 }
 
@@ -95,9 +97,9 @@ void ExpectViolation(const Fn& fn, const std::string& invariant,
 TEST(Validate, CleanStatePassesEveryChecker) {
   const auto c = SmallCorpus();
   const auto cfg = SmallConfig();
-  const auto s = BuildState(c, cfg, 3, 2);
+  const auto s = BuildState(c, cfg, 3);
   EXPECT_NO_THROW(
-      validate::ValidateModelState(c, cfg, s.chunks, s.replicas));
+      validate::ValidateModelState(c, cfg, s.chunks, s.model));
 }
 
 TEST(Validate, MutatedZIsCaughtByZTopicRange) {
@@ -110,7 +112,7 @@ TEST(Validate, MutatedZIsCaughtByZTopicRange) {
       "z-topic-range", "z[5]");
   // The full entry point reports it with the chunk context attached.
   ExpectViolation(
-      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.replicas); },
+      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.model); },
       "z-topic-range", "chunk 0");
 }
 
@@ -123,7 +125,7 @@ TEST(Validate, MutatedThetaValueIsCaughtByThetaMatchesZ) {
       [&] { validate::CheckThetaMatchesZ(cfg, s.chunks[1], "chunk 1"); },
       "theta-matches-z", "document 0");
   ExpectViolation(
-      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.replicas); },
+      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.model); },
       "theta-matches-z", "chunk 1");
 }
 
@@ -142,11 +144,11 @@ TEST(Validate, MutatedNkIsCaughtByNkMatchesPhi) {
   const auto c = SmallCorpus();
   const auto cfg = SmallConfig();
   auto s = BuildState(c, cfg, 1);
-  s.replicas[0].nk[3] += 1;
-  ExpectViolation([&] { validate::CheckNkMatchesPhi(s.replicas[0]); },
+  s.model.nk[3] += 1;
+  ExpectViolation([&] { validate::CheckNkMatchesPhi(s.model); },
                   "nk-matches-phi", "n_k[3]");
   ExpectViolation(
-      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.replicas); },
+      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.model); },
       "nk-matches-phi", "n_k[3]");
 }
 
@@ -154,10 +156,10 @@ TEST(Validate, MutatedPhiCellIsCaughtByPhiTotalTokens) {
   const auto c = SmallCorpus();
   const auto cfg = SmallConfig();
   auto s = BuildState(c, cfg, 1);
-  s.replicas[0].phi(2, 7) += 1;
+  s.model.phi(2, 7) += 1;
   ExpectViolation(
       [&] {
-        validate::CheckPhiTotalTokens(s.replicas[0], c.num_tokens());
+        validate::CheckPhiTotalTokens(s.model, c.num_tokens());
       },
       "phi-total-tokens", "ΣΣ φ");
 }
@@ -169,14 +171,14 @@ TEST(Validate, MovedPhiCountIsCaughtByPhiMatchesZ) {
   // Move one count within a φ row: n_k, ΣΣ φ, and every θ row stay
   // consistent, so only the z cross-check can see it — the exact signature
   // of a mis-applied delayed update.
-  auto& phi = s.replicas[0].phi;
+  auto& phi = s.model.phi;
   uint32_t v_from = 0;
   while (phi(0, v_from) == 0) ++v_from;
   const uint32_t v_to = v_from == 0 ? 1 : 0;
   phi(0, v_from) -= 1;
   phi(0, v_to) += 1;
   ExpectViolation(
-      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.replicas); },
+      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.model); },
       "phi-matches-z", "topic 0");
 }
 
@@ -195,15 +197,6 @@ TEST(Validate, NearSaturatedPhiCellIsCaughtByMargin) {
   EXPECT_NO_THROW(validate::CheckPhiSaturationMargin(rep, 0));
 }
 
-TEST(Validate, DivergedReplicaIsCaughtByReplicasAgree) {
-  const auto c = SmallCorpus();
-  const auto cfg = SmallConfig();
-  auto s = BuildState(c, cfg, 2, 3);
-  s.replicas[2].phi(0, 0) += 1;
-  ExpectViolation([&] { validate::CheckReplicasAgree(s.replicas); },
-                  "phi-replicas-agree", "device 2");
-}
-
 TEST(Validate, CorruptedWorkListIsCaughtByChunkLayout) {
   const auto c = SmallCorpus();
   const auto cfg = SmallConfig();
@@ -220,7 +213,7 @@ TEST(Validate, ShiftedChunkBoundaryIsCaughtByChunkCoverage) {
   auto s = BuildState(c, cfg, 3);
   s.chunks[1].layout.spec.doc_begin += 1;
   ExpectViolation(
-      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.replicas); },
+      [&] { validate::ValidateModelState(c, cfg, s.chunks, s.model); },
       "chunk-coverage", "chunk 1");
 }
 
@@ -295,7 +288,8 @@ TEST(Validate, BitIdenticalWithAndWithoutValidation) {
 TEST(Validate, HeavyWordCorpusFailsLoudly) {
   // One word with 70000 occurrences: its φ cell could legally reach 70000 >
   // 65535 if training concentrates it on one topic, silently wrapping the
-  // 16-bit count. The trainer must refuse the corpus up front.
+  // 16-bit count. Every trainer must refuse the corpus up front, with the
+  // same message.
   constexpr uint64_t kDocs = 100;
   constexpr uint64_t kHeavyPerDoc = 700;  // 70000 total
   std::vector<uint64_t> offsets = {0};
@@ -307,14 +301,30 @@ TEST(Validate, HeavyWordCorpusFailsLoudly) {
   }
   const corpus::Corpus heavy(3, std::move(offsets), std::move(words));
 
-  try {
-    core::CuldaTrainer trainer(heavy, SmallConfig(), {});
-    FAIL() << "heavy-word corpus must be rejected";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("word 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("70000"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("65535"), std::string::npos) << msg;
+  const std::vector<std::pair<const char*, std::function<void()>>> trainers =
+      {{"CuldaTrainer",
+        [&] { core::CuldaTrainer trainer(heavy, SmallConfig(), {}); }},
+       {"WordPartitionTrainer",
+        [&] {
+          core::WordPartitionTrainer trainer(
+              heavy, SmallConfig(),
+              std::vector<gpusim::DeviceSpec>(2, gpusim::V100Volta()));
+        }},
+       {"ClusterTrainer", [&] {
+          dist::ClusterOptions opts;
+          opts.mode = dist::DistMode::kSync;
+          dist::ClusterTrainer trainer(heavy, SmallConfig(), opts);
+        }}};
+  for (const auto& [name, construct] : trainers) {
+    try {
+      construct();
+      ADD_FAILURE() << name << " must reject the heavy-word corpus";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("word 0"), std::string::npos) << name << ": " << msg;
+      EXPECT_NE(msg.find("70000"), std::string::npos) << name << ": " << msg;
+      EXPECT_NE(msg.find("65535"), std::string::npos) << name << ": " << msg;
+    }
   }
 }
 
