@@ -1,8 +1,10 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <mutex>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/index_tree.hpp"
@@ -21,13 +23,28 @@ constexpr double kSamplingMemDerate = 0.45;  // divergent, dependent loads
 constexpr double kUpdateMemDerate = 0.80;    // scattered atomics, some reuse
 constexpr double kStreamMemDerate = 1.0;     // pure streaming kernels
 
-/// Scratch reused across blocks executed by the same worker thread; avoids
-/// per-block heap churn on the hot path. (With a thread pool each worker has
-/// its own copy, so no synchronization is needed.)
+/// Per-worker scratch of the sampling pass, reused across words, blocks and
+/// passes; avoids heap churn on the hot path. (With a thread pool each
+/// worker has its own copy, so no synchronization is needed.)
 struct SamplerScratch {
+  // The table of the word being sampled.
   std::vector<float> pstar;
-  std::vector<float> p2_prefix;  ///< inclusive prefix sums of p2 (Q)
+  std::vector<float> p2_prefix;  ///< kTree: inclusive prefix sums of p2 (Q)
+  std::vector<float> word_prob;  ///< kAliasMH: word alias over p*
+  std::vector<uint16_t> word_alias;
+  AliasBuildScratch build;
   std::vector<float> p1_prefix;  ///< inclusive prefix sums of p1 (S)
+  /// One block arena per shared-memory capacity (a group's devices may
+  /// differ), so a block never allocates one.
+  std::vector<std::unique_ptr<gpusim::SharedMemory>> arenas;
+
+  gpusim::SharedMemory& Arena(size_t capacity) {
+    for (const auto& a : arenas) {
+      if (a->capacity() == capacity) return *a;
+    }
+    arenas.push_back(std::make_unique<gpusim::SharedMemory>(capacity));
+    return *arenas.back();
+  }
 };
 thread_local SamplerScratch tl_scratch;
 
@@ -42,16 +59,6 @@ struct UpdateThetaScratch {
   std::vector<int32_t> val;
 };
 thread_local UpdateThetaScratch tl_theta_scratch;
-
-/// Per-worker scratch for the alias/MH sampling kernel: the per-block word
-/// alias over p*(k) and its build workspace.
-struct MhSamplerScratch {
-  std::vector<float> pstar;
-  std::vector<float> word_prob;
-  std::vector<uint16_t> word_alias;
-  AliasBuildScratch build;
-};
-thread_local MhSamplerScratch tl_mh_scratch;
 
 /// p*(k) = (φ_kw + β) / (n_k + βV) over word w's φ counts: the common
 /// sub-expression of p1 and p2 (Eq. 8).
@@ -110,461 +117,591 @@ inline int32_t ThetaAt(std::span<const uint16_t> idx,
   return val[static_cast<size_t>(it - idx.begin())];
 }
 
-/// The kAliasMH sampling kernel (docs/samplers.md). Same launch geometry,
-/// RNG keying, and billed-step attribution as the exact kernel; per token it
-/// runs `mh_cycles` doc/word proposal pairs against the stale counts instead
-/// of the S/Q tree draw. Both proposal families read only iteration-start
-/// state (θ̃ rows, φ̃ columns, ñ_k), so assignments are bit-deterministic
-/// under any chunk schedule, worker count, or GPU count — the same
-/// partition-invariance contract the exact kernel gets from its
-/// (seed, iteration, global token) stream keying.
-gpusim::KernelRecord RunMhSamplingKernel(gpusim::Device& device,
-                                         const CuldaConfig& cfg,
-                                         ChunkState& chunk,
-                                         const PhiReplica& replica,
-                                         uint32_t iteration,
-                                         gpusim::Stream* stream,
-                                         SamplingStepCounters* steps,
-                                         uint32_t mh_cycles) {
+/// What every block of one sampling pass reads besides its chunk and its
+/// word's table.
+struct SamplingInputs {
+  const CuldaConfig& cfg;
+  const PhiReplica& replica;
+  TrainSampler sampler;
+  uint32_t iteration;
+  uint32_t mh_cycles;
+  AliasTable alpha_alias;  ///< kAliasMH with asymmetric α only
+};
+
+/// One word's sampling table, built from the read model once per pass and
+/// used by every block of the word in every chunk.
+struct WordTable {
+  std::span<const float> pstar;
+  std::span<const float> p2_prefix;  ///< kTree
+  float q_mass = 0;                  ///< kTree: Q = Σ p2
+  std::span<const float> word_prob;  ///< kAliasMH
+  std::span<const uint16_t> word_alias;
+};
+
+WordTable BuildWordTable(const SamplingInputs& in, uint32_t w,
+                         SamplerScratch& scratch) {
+  const CuldaConfig& cfg = in.cfg;
   const uint32_t K = cfg.num_topics;
-  const uint32_t V = replica.vocab_size;
   const float beta = static_cast<float>(cfg.beta);
-  const float beta_v = beta * static_cast<float>(V);
-  const double alpha_sum = cfg.AlphaSum();
-  const bool asym = !cfg.asymmetric_alpha.empty();
-  const uint64_t phi_b = cfg.phi_count_bytes();
-  const uint64_t idx_b = cfg.theta_index_bytes();
-  CULDA_CHECK_MSG(mh_cycles >= 1,
-                  "kAliasMH needs at least one MH cycle per token");
-
-  if (chunk.work.empty()) {
-    gpusim::KernelRecord rec;
-    rec.name = "sampling";
-    return rec;
-  }
-
-  // ---- Host-side pre-launch: per-document alias tables over the stale θ̃
-  // rows, packed flat in the θ CSR layout. Row content depends only on the
-  // document's own assignments — never on the chunking — which is what makes
-  // the doc proposals partition-invariant. Rebuilt every iteration from the
-  // fresh θ (the per-sweep stale-table refresh); billed below in block 0.
-  const uint64_t num_docs = chunk.num_docs();
-  std::vector<uint64_t> doc_off(num_docs + 1, 0);
-  for (uint64_t d = 0; d < num_docs; ++d) {
-    doc_off[d + 1] = doc_off[d] + chunk.theta.RowLength(d);
-  }
-  std::vector<float> doc_prob(doc_off[num_docs]);
-  std::vector<uint16_t> doc_alias(doc_off[num_docs]);
-  std::vector<double> doc_len(num_docs, 0.0);
-  {
-    AliasBuildScratch build;
-    std::vector<float> weights;
-    for (uint64_t d = 0; d < num_docs; ++d) {
-      const auto val = chunk.theta.RowValues(d);
-      if (val.empty()) continue;  // α branch covers empty rows
-      weights.resize(val.size());
-      for (size_t j = 0; j < val.size(); ++j) {
-        weights[j] = static_cast<float>(val[j]);
-      }
-      doc_len[d] = BuildAliasInto(
-          weights,
-          std::span<float>(doc_prob.data() + doc_off[d], val.size()),
-          std::span<uint16_t>(doc_alias.data() + doc_off[d], val.size()),
-          build);
-    }
-  }
-
-  // α-prior alias for the asymmetric doc-proposal branch (symmetric is a
-  // uniform pick — a constant-weight alias adds nothing).
-  AliasTable alpha_alias;
-  if (asym) {
-    std::vector<float> weights(K);
-    for (uint32_t k = 0; k < K; ++k) {
-      weights[k] = static_cast<float>(cfg.AlphaOf(k));
-    }
-    alpha_alias.Build(weights);
-  }
-
-  std::mutex steps_mutex;
-  const gpusim::LaunchConfig lc{static_cast<uint32_t>(chunk.work.size()),
-                                cfg.samplers_per_block * gpusim::kWarpSize,
-                                kSamplingMemDerate};
-
-  auto body = [&](gpusim::BlockContext& ctx) {
-    const corpus::BlockWork& bw = chunk.work[ctx.block_id()];
-    const uint32_t w = bw.word;
-    MhSamplerScratch& scratch = tl_mh_scratch;
-    SamplingStepCounters local;
-
-    if (ctx.block_id() == 0) {
-      // Bill the host-side doc-alias rebuild: read every θ̃ value, write
-      // every (prob, alias) cell. Attributed to the doc-proposal step.
-      local.sample_p1.global_read_bytes += doc_off[num_docs] * 4;
-      local.sample_p1.global_write_bytes += doc_off[num_docs] * 6;
-      local.sample_p1.flops += 3 * doc_off[num_docs];
-    }
-
-    // ---- p*(k) = (φ_kv + β) / (n_k + βV): same per-block column pass as
-    // the exact kernel (and the same compute_q attribution)...
-    if (scratch.pstar.size() < K) scratch.pstar.resize(K);
-    std::span<float> pstar(scratch.pstar.data(), K);
-    ComputePstar(replica.phi.Word(w), replica.nk, beta, beta_v, pstar);
-    local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
-    local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
-    local.compute_q.flops += 2ull * K;
-
-    // ...feeding the block's word-proposal alias over p* instead of the p2
-    // index tree. The +β inside p* is the smoothing branch, so one table
-    // covers the whole word conditional. Placed in shared memory when it
-    // fits (alias cells are 6 bytes/topic vs the tree's 4·slots).
+  const float beta_v = beta * static_cast<float>(in.replica.vocab_size);
+  if (scratch.pstar.size() < K) scratch.pstar.resize(K);
+  const std::span<float> pstar(scratch.pstar.data(), K);
+  ComputePstar(in.replica.phi.Word(w), in.replica.nk, beta, beta_v, pstar);
+  WordTable table;
+  table.pstar = pstar;
+  if (in.sampler == TrainSampler::kAliasMH) {
+    // The word-proposal alias over p*. The +β inside p* is the smoothing
+    // branch, so one table covers the whole word conditional.
     if (scratch.word_prob.size() < K) scratch.word_prob.resize(K);
     if (scratch.word_alias.size() < K) scratch.word_alias.resize(K);
-    std::span<float> wprob(scratch.word_prob.data(), K);
-    std::span<uint16_t> walias(scratch.word_alias.data(), K);
-    const double word_total = BuildAliasInto(pstar, wprob, walias,
-                                             scratch.build);
-    (void)word_total;  // proposal draws never need the normalizer
-    const uint64_t alias_bytes = static_cast<uint64_t>(K) * 6;
-    bool alias_in_shared = false;
-    if (ctx.shared().capacity() - ctx.shared().used() >= alias_bytes) {
-      (void)ctx.shared().Alloc<float>(K);
-      (void)ctx.shared().Alloc<uint16_t>(K);
-      alias_in_shared = true;
-      local.sample_p2.shared_write_bytes += alias_bytes;
-    } else {
-      local.sample_p2.global_write_bytes += alias_bytes;
-    }
-    local.sample_p2.flops += 2ull * K;  // the O(K) small/large pairing
+    const std::span<float> wprob(scratch.word_prob.data(), K);
+    const std::span<uint16_t> walias(scratch.word_alias.data(), K);
+    // Proposal draws never need the normalizer BuildAliasInto returns.
+    (void)BuildAliasInto(pstar, wprob, walias, scratch.build);
+    table.word_prob = wprob;
+    table.word_alias = walias;
+    return table;
+  }
+  if (scratch.p2_prefix.size() < K) scratch.p2_prefix.resize(K);
+  const std::span<float> p2_prefix(scratch.p2_prefix.data(), K);
+  // p2(k) = α_k · p*(k) (α_k constant under the symmetric default).
+  table.q_mass =
+      P2PrefixSums(pstar, static_cast<float>(cfg.EffectiveAlpha()),
+                   cfg.asymmetric_alpha, p2_prefix);
+  CULDA_CHECK_MSG(std::isfinite(table.q_mass) && table.q_mass >= 0.0f,
+                  "index-tree mass must be finite and non-negative, "
+                  "got " << table.q_mass << " (p2 of word " << w << ")");
+  table.p2_prefix = p2_prefix;
+  return table;
+}
 
-    for (uint64_t t = bw.token_begin; t < bw.token_end; ++t) {
+/// kAliasMH per-document alias tables over one chunk's stale θ̃ rows, packed
+/// flat in the θ CSR layout.
+struct DocAliases {
+  std::vector<uint64_t> off;
+  std::vector<float> prob;
+  std::vector<uint16_t> alias;
+  std::vector<double> len;  ///< row mass (θ̃ row sum)
+};
+
+/// Row content depends only on the document's own assignments — never on
+/// the chunking — which is what makes the doc proposals partition-invariant.
+/// Rebuilt every iteration from the fresh θ (the per-sweep stale-table
+/// refresh); billed in the chunk's block 0.
+DocAliases BuildDocAliases(const ChunkState& chunk) {
+  const uint64_t num_docs = chunk.num_docs();
+  DocAliases docs;
+  docs.off.assign(num_docs + 1, 0);
+  for (uint64_t d = 0; d < num_docs; ++d) {
+    docs.off[d + 1] = docs.off[d] + chunk.theta.RowLength(d);
+  }
+  docs.prob.resize(docs.off[num_docs]);
+  docs.alias.resize(docs.off[num_docs]);
+  docs.len.assign(num_docs, 0.0);
+  AliasBuildScratch build;
+  std::vector<float> weights;
+  for (uint64_t d = 0; d < num_docs; ++d) {
+    const auto val = chunk.theta.RowValues(d);
+    if (val.empty()) continue;  // α branch covers empty rows
+    weights.resize(val.size());
+    for (size_t j = 0; j < val.size(); ++j) {
+      weights[j] = static_cast<float>(val[j]);
+    }
+    docs.len[d] = BuildAliasInto(
+        weights, std::span<float>(docs.prob.data() + docs.off[d], val.size()),
+        std::span<uint16_t>(docs.alias.data() + docs.off[d], val.size()),
+        build);
+  }
+  return docs;
+}
+
+/// One block of Algorithm 2's exact index-tree kernel over its word's table.
+/// The table is billed as this block builds it; the host keeps only its
+/// leaves (p2_prefix).
+void SampleTreeBlock(const SamplingInputs& in, gpusim::BlockContext& ctx,
+                     ChunkState& chunk, const WordTable& table,
+                     SamplerScratch& scratch, SamplingStepCounters& local) {
+  const CuldaConfig& cfg = in.cfg;
+  const corpus::BlockWork& bw = chunk.work[ctx.block_id()];
+  const uint32_t w = bw.word;
+  const uint32_t K = cfg.num_topics;
+  const uint32_t samplers = cfg.samplers_per_block;
+  const uint32_t fanout = cfg.tree_fanout;
+  const uint64_t phi_b = cfg.phi_count_bytes();
+  const uint64_t idx_b = cfg.theta_index_bytes();
+  const std::span<const float> pstar = table.pstar;
+  const float q_mass = table.q_mass;
+
+  // ---- p*(k) = (φ_kv + β) / (n_k + βV): the common sub-expression of
+  // p1 and p2 (Eq. 8), computed once per block and cached in shared memory
+  // when reuse_pstar is on. One φ column + n_k; the column is a strided
+  // walk over the device's K×V DRAM layout, n_k is small and hot so it hits
+  // L1.
+  local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
+  local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
+  local.compute_q.flops += 2ull * K;
+  if (cfg.reuse_pstar) {
+    // Cached in shared memory; subsequent uses are shared reads.
+    (void)ctx.shared().Alloc<float>(K);
+    ctx.WriteShared(static_cast<uint64_t>(K) * 4);
+  }
+
+  // ---- Q and the p2 index tree, shared by all samplers of the block
+  // when share_p2_tree is on; otherwise every token pays the rebuild.
+  const size_t p2_slots = IndexTreeView::StorageSlots(K, fanout);
+  bool p2_in_shared = false;
+  if (cfg.share_p2_tree &&
+      ctx.shared().capacity() - ctx.shared().used() >= p2_slots * 4) {
+    (void)ctx.shared().Alloc<float>(p2_slots);
+    p2_in_shared = true;
+  }
+  // Scaling by α is part of computing Q; the prefix/tree construction
+  // belongs to the p2 sampling step (the paper's Table 1 attribution).
+  local.compute_q.flops += K;
+  local.sample_p2.flops += 2ull * K;
+  if (p2_in_shared) {
+    local.sample_p2.shared_write_bytes += p2_slots * 4;
+  } else {
+    local.sample_p2.global_write_bytes += p2_slots * 4;
+  }
+
+  // ---- Per-warp p1 arenas carved out of the remaining shared memory.
+  // A p1 tree that fits its warp's arena is billed as shared traffic;
+  // one that does not spills to (billed) global memory.
+  const size_t shared_left =
+      (ctx.shared().capacity() - ctx.shared().used()) / 4;
+  const size_t warp_arena_slots = shared_left / samplers;
+  if (warp_arena_slots > 0) {
+    (void)ctx.shared().Alloc<float>(warp_arena_slots * samplers);
+  }
+  const size_t p1_arena_slots = cfg.use_shared_trees ? warp_arena_slots : 0;
+
+  // ---- The samplers. One warp = one sampler; tokens are strided across
+  // the block's samplers (Figure 6).
+  for (uint32_t s = 0; s < samplers; ++s) {
+    for (uint64_t t = bw.token_begin + s; t < bw.token_end; t += samplers) {
       const uint32_t local_doc = chunk.layout.token_doc[t];
       ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
 
       const auto theta_idx = chunk.theta.RowIndices(local_doc);
       const auto theta_val = chunk.theta.RowValues(local_doc);
       const uint64_t kd = theta_idx.size();
-      const uint64_t off = doc_off[local_doc];
-      const std::span<const float> dprob(doc_prob.data() + off, kd);
-      const std::span<const uint16_t> dalias(doc_alias.data() + off, kd);
-      const double dlen = doc_len[local_doc];
+      CULDA_DCHECK(kd > 0);
 
+      // θ_d row: indices via L1 (Section 6.1.2), values from DRAM.
+      if (cfg.l1_for_indices) {
+        local.compute_s.l1_read_bytes += kd * idx_b;
+      } else {
+        local.compute_s.global_read_bytes += kd * idx_b;
+      }
+      local.compute_s.global_read_bytes += kd * 4;
+
+      // p1 values and S = Σ p1 (the sparse bucket mass), kept as the
+      // prefix array the p1 draw searches.
+      if (scratch.p1_prefix.size() < kd) scratch.p1_prefix.resize(kd);
+      const std::span<float> p1_prefix(scratch.p1_prefix.data(), kd);
+      const float s_mass =
+          P1PrefixSums(theta_idx, theta_val, pstar, p1_prefix);
+      CULDA_CHECK_MSG(std::isfinite(s_mass) && s_mass >= 0.0f,
+                      "index-tree mass must be finite and non-negative, "
+                      "got " << s_mass << " (p1 of word " << w << ")");
+      local.compute_s.flops += 2 * kd;
+      if (cfg.reuse_pstar) {
+        local.compute_s.shared_read_bytes += kd * 4;
+      } else {
+        // p*(k) recomputed from φ/n_k for every non-zero.
+        local.compute_s.global_read_bytes += kd * phi_b;
+        local.compute_s.l1_read_bytes += kd * 4;
+        local.compute_s.flops += 2 * kd;
+      }
+      if (!cfg.share_p2_tree) {
+        // Without block-level sharing each token pays the p2 work.
+        local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
+        local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * 4;
+        local.compute_q.flops += 3ull * K;
+        local.sample_p2.flops += 2ull * K;
+        local.sample_p2.global_write_bytes += p2_slots * 4;
+      }
+
+      // Private p1 index tree (Figure 6), spilling past shared capacity.
+      // Billed as built; the host draws from its leaves (p1_prefix).
+      const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
+      const bool p1_in_shared = p1_arena_slots >= p1_slots;
+      local.sample_p1.flops += kd;
+      if (p1_in_shared) {
+        local.sample_p1.shared_write_bytes += p1_slots * 4;
+      } else {
+        local.sample_p1.global_write_bytes += p1_slots * 4;
+        ++local.p1_tree_spills;
+      }
+
+      // One uniform draw decides the bucket and is reused inside it
+      // (u | u < S is U(0, S)). The stream is keyed by the corpus-global
+      // token id, so draws are independent of the partition and schedule.
+      const uint64_t global_token = chunk.layout.token_global[t];
       PhiloxStream rng(cfg.seed,
-                       (static_cast<uint64_t>(iteration) << 40) ^
-                           chunk.layout.token_global[t]);
-      uint32_t cur = chunk.z[t];
-      ctx.ReadGlobal(2);
+                       (static_cast<uint64_t>(in.iteration) << 40) ^
+                           global_token);
+      const float total = s_mass + q_mass;
+      const float u = rng.NextFloat() * total;
+      local.compute_s.flops += 2;
 
-      for (uint32_t cycle = 0; cycle < mh_cycles; ++cycle) {
-        // Doc proposal q_d(k) ∝ θ̃_dk + α_k. The θ̃ branch reads one alias
-        // cell + one row index; acceptance keeps only the word factor
-        // p*(prop)/p*(cur) — the doc factor cancels against the proposal.
-        {
-          uint32_t prop;
-          const double pick = rng.NextDouble() * (dlen + alpha_sum);
-          if (pick < dlen) {
-            const uint16_t j =
-                SampleAlias(dprob, dalias,
-                            rng.NextBelow(static_cast<uint32_t>(kd)),
-                            rng.NextFloat());
-            prop = theta_idx[j];
-            local.sample_p1.global_read_bytes += 6 + idx_b;
-          } else if (asym) {
-            prop = alpha_alias.Sample(rng.NextBelow(K), rng.NextFloat());
-            local.sample_p1.global_read_bytes += 6;
+      uint32_t new_topic;
+      uint64_t inspected = 0;
+      if (u < s_mass) {
+        const size_t j = SearchPrefixTree(p1_prefix, fanout, u, &inspected);
+        new_topic = theta_idx[j];
+        local.sample_p1.flops += inspected;
+        if (p1_in_shared) {
+          local.sample_p1.shared_read_bytes += inspected * 4;
+        } else {
+          local.sample_p1.global_read_bytes += inspected * 4;
+        }
+        ++local.p1_branches;
+      } else {
+        const float u2 = std::min(u - s_mass, q_mass);
+        const size_t k =
+            SearchPrefixTree(table.p2_prefix, fanout, u2, &inspected);
+        new_topic = static_cast<uint32_t>(k);
+        local.sample_p2.flops += inspected;
+        if (p2_in_shared) {
+          local.sample_p2.shared_read_bytes += inspected * 4;
+        } else {
+          local.sample_p2.global_read_bytes += inspected * 4;
+        }
+      }
+
+      chunk.z[t] = static_cast<uint16_t>(new_topic);
+      ctx.WriteGlobal(2);
+      ++local.tokens;
+    }
+  }
+}
+
+/// One block of the kAliasMH kernel (docs/samplers.md). Same launch
+/// geometry, RNG keying, and billed-step attribution as the exact kernel;
+/// per token it runs `mh_cycles` doc/word proposal pairs against the stale
+/// counts instead of the S/Q tree draw. Both proposal families read only
+/// iteration-start state (θ̃ rows, φ̃ columns, ñ_k), so assignments are
+/// bit-deterministic under any chunk schedule, worker count, or GPU count —
+/// the same partition-invariance contract the exact kernel gets from its
+/// (seed, iteration, global token) stream keying.
+void SampleMhBlock(const SamplingInputs& in, gpusim::BlockContext& ctx,
+                   ChunkState& chunk, const WordTable& table,
+                   const DocAliases& docs, SamplingStepCounters& local) {
+  const CuldaConfig& cfg = in.cfg;
+  const corpus::BlockWork& bw = chunk.work[ctx.block_id()];
+  const uint32_t K = cfg.num_topics;
+  const double alpha_sum = cfg.AlphaSum();
+  const bool asym = !cfg.asymmetric_alpha.empty();
+  const uint64_t phi_b = cfg.phi_count_bytes();
+  const uint64_t idx_b = cfg.theta_index_bytes();
+  const std::span<const float> pstar = table.pstar;
+
+  if (ctx.block_id() == 0) {
+    // Bill the host-side doc-alias rebuild: read every θ̃ value, write
+    // every (prob, alias) cell. Attributed to the doc-proposal step.
+    const uint64_t cells = docs.off.back();
+    local.sample_p1.global_read_bytes += cells * 4;
+    local.sample_p1.global_write_bytes += cells * 6;
+    local.sample_p1.flops += 3 * cells;
+  }
+
+  // ---- p*(k) = (φ_kv + β) / (n_k + βV): same per-block column pass as
+  // the exact kernel (and the same compute_q attribution)...
+  local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
+  local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
+  local.compute_q.flops += 2ull * K;
+
+  // ...feeding the block's word-proposal alias over p* instead of the p2
+  // index tree. Placed in shared memory when it fits (alias cells are 6
+  // bytes/topic vs the tree's 4·slots).
+  const uint64_t alias_bytes = static_cast<uint64_t>(K) * 6;
+  bool alias_in_shared = false;
+  if (ctx.shared().capacity() - ctx.shared().used() >= alias_bytes) {
+    (void)ctx.shared().Alloc<float>(K);
+    (void)ctx.shared().Alloc<uint16_t>(K);
+    alias_in_shared = true;
+    local.sample_p2.shared_write_bytes += alias_bytes;
+  } else {
+    local.sample_p2.global_write_bytes += alias_bytes;
+  }
+  local.sample_p2.flops += 2ull * K;  // the O(K) small/large pairing
+
+  for (uint64_t t = bw.token_begin; t < bw.token_end; ++t) {
+    const uint32_t local_doc = chunk.layout.token_doc[t];
+    ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
+
+    const auto theta_idx = chunk.theta.RowIndices(local_doc);
+    const auto theta_val = chunk.theta.RowValues(local_doc);
+    const uint64_t kd = theta_idx.size();
+    const uint64_t off = docs.off[local_doc];
+    const std::span<const float> dprob(docs.prob.data() + off, kd);
+    const std::span<const uint16_t> dalias(docs.alias.data() + off, kd);
+    const double dlen = docs.len[local_doc];
+
+    PhiloxStream rng(cfg.seed, (static_cast<uint64_t>(in.iteration) << 40) ^
+                                   chunk.layout.token_global[t]);
+    uint32_t cur = chunk.z[t];
+    ctx.ReadGlobal(2);
+
+    for (uint32_t cycle = 0; cycle < in.mh_cycles; ++cycle) {
+      // Doc proposal q_d(k) ∝ θ̃_dk + α_k. The θ̃ branch reads one alias
+      // cell + one row index; acceptance keeps only the word factor
+      // p*(prop)/p*(cur) — the doc factor cancels against the proposal.
+      {
+        uint32_t prop;
+        const double pick = rng.NextDouble() * (dlen + alpha_sum);
+        if (pick < dlen) {
+          const uint16_t j =
+              SampleAlias(dprob, dalias,
+                          rng.NextBelow(static_cast<uint32_t>(kd)),
+                          rng.NextFloat());
+          prop = theta_idx[j];
+          local.sample_p1.global_read_bytes += 6 + idx_b;
+        } else if (asym) {
+          prop = in.alpha_alias.Sample(rng.NextBelow(K), rng.NextFloat());
+          local.sample_p1.global_read_bytes += 6;
+        } else {
+          prop = rng.NextBelow(K);
+        }
+        const float coin = rng.NextFloat();
+        ++local.mh_proposals;
+        local.sample_p1.flops += 4;
+        if (prop != cur && coin * pstar[cur] < pstar[prop]) {
+          cur = prop;
+          ++local.mh_accepts;
+        }
+      }
+      // Word proposal q_w(k) ∝ p*(k); acceptance keeps only the doc
+      // factor (θ̃ + α), read by binary search of the sorted stale row.
+      {
+        const uint32_t prop = SampleAlias(table.word_prob, table.word_alias,
+                                          rng.NextBelow(K), rng.NextFloat());
+        if (alias_in_shared) {
+          local.sample_p2.shared_read_bytes += 6;
+        } else {
+          local.sample_p2.global_read_bytes += 6;
+        }
+        const float coin = rng.NextFloat();
+        ++local.mh_proposals;
+        local.sample_p2.flops += 4;
+        if (prop != cur) {
+          const uint64_t probes =
+              kd == 0 ? 1 : (64 - __builtin_clzll(kd)) + 1;
+          if (cfg.l1_for_indices) {
+            local.compute_s.l1_read_bytes += 2 * probes * idx_b;
           } else {
-            prop = rng.NextBelow(K);
+            local.compute_s.global_read_bytes += 2 * probes * idx_b;
           }
-          const float coin = rng.NextFloat();
-          ++local.mh_proposals;
-          local.sample_p1.flops += 4;
-          if (prop != cur && coin * pstar[cur] < pstar[prop]) {
+          local.compute_s.global_read_bytes += 2 * 4;
+          const double num =
+              static_cast<double>(ThetaAt(theta_idx, theta_val, prop)) +
+              cfg.AlphaOf(prop);
+          const double den =
+              static_cast<double>(ThetaAt(theta_idx, theta_val, cur)) +
+              cfg.AlphaOf(cur);
+          if (coin * den < num) {
             cur = prop;
             ++local.mh_accepts;
           }
         }
-        // Word proposal q_w(k) ∝ p*(k); acceptance keeps only the doc
-        // factor (θ̃ + α), read by binary search of the sorted stale row.
-        {
-          const uint32_t prop =
-              SampleAlias(wprob, walias, rng.NextBelow(K), rng.NextFloat());
-          if (alias_in_shared) {
-            local.sample_p2.shared_read_bytes += 6;
-          } else {
-            local.sample_p2.global_read_bytes += 6;
-          }
-          const float coin = rng.NextFloat();
-          ++local.mh_proposals;
-          local.sample_p2.flops += 4;
-          if (prop != cur) {
-            const uint64_t probes =
-                kd == 0 ? 1 : (64 - __builtin_clzll(kd)) + 1;
-            if (cfg.l1_for_indices) {
-              local.compute_s.l1_read_bytes += 2 * probes * idx_b;
-            } else {
-              local.compute_s.global_read_bytes += 2 * probes * idx_b;
-            }
-            local.compute_s.global_read_bytes += 2 * 4;
-            const double num =
-                static_cast<double>(ThetaAt(theta_idx, theta_val, prop)) +
-                cfg.AlphaOf(prop);
-            const double den =
-                static_cast<double>(ThetaAt(theta_idx, theta_val, cur)) +
-                cfg.AlphaOf(cur);
-            if (coin * den < num) {
-              cur = prop;
-              ++local.mh_accepts;
-            }
-          }
-        }
       }
-
-      chunk.z[t] = static_cast<uint16_t>(cur);
-      ctx.WriteGlobal(2);
-      ++local.tokens;
     }
 
-    // Merge the per-step tallies into the block's billed counters.
-    for (const gpusim::KernelCounters* c :
-         {&local.compute_s, &local.compute_q, &local.sample_p1,
-          &local.sample_p2}) {
-      ctx.counters().global_read_bytes += c->global_read_bytes;
-      ctx.counters().l1_read_bytes += c->l1_read_bytes;
-      ctx.counters().global_write_bytes += c->global_write_bytes;
-      ctx.counters().shared_read_bytes += c->shared_read_bytes;
-      ctx.counters().shared_write_bytes += c->shared_write_bytes;
-      ctx.counters().flops += c->flops;
-    }
-    if (steps != nullptr) {
-      std::lock_guard<std::mutex> lock(steps_mutex);
-      *steps += local;
-    }
-  };
+    chunk.z[t] = static_cast<uint16_t>(cur);
+    ctx.WriteGlobal(2);
+    ++local.tokens;
+  }
+}
 
-  return device.Launch("sampling", lc, body, stream);
+/// Merges a block's per-step tallies into its billed counters.
+void BillSteps(const SamplingStepCounters& local, gpusim::BlockContext& ctx) {
+  for (const gpusim::KernelCounters* c :
+       {&local.compute_s, &local.compute_q, &local.sample_p1,
+        &local.sample_p2}) {
+    ctx.counters().global_read_bytes += c->global_read_bytes;
+    ctx.counters().l1_read_bytes += c->l1_read_bytes;
+    ctx.counters().global_write_bytes += c->global_write_bytes;
+    ctx.counters().shared_read_bytes += c->shared_read_bytes;
+    ctx.counters().shared_write_bytes += c->shared_write_bytes;
+    ctx.counters().flops += c->flops;
+  }
+}
+
+gpusim::LaunchConfig SamplingLaunch(const CuldaConfig& cfg,
+                                    const ChunkState& chunk) {
+  return {static_cast<uint32_t>(chunk.work.size()),
+          cfg.samplers_per_block * gpusim::kWarpSize, kSamplingMemDerate};
 }
 
 }  // namespace
 
-gpusim::KernelRecord RunSamplingKernel(
-    gpusim::Device& device, const CuldaConfig& cfg, ChunkState& chunk,
-    const PhiReplica& replica, uint32_t iteration, gpusim::Stream* stream,
-    SamplingStepCounters* steps, TrainSampler sampler, uint32_t mh_cycles) {
+SamplingPass SampleChunks(const CuldaConfig& cfg, std::span<ChunkState> chunks,
+                          std::span<const gpusim::Device* const> billers,
+                          const PhiReplica& replica, uint32_t iteration,
+                          ThreadPool* pool, TrainSampler sampler,
+                          uint32_t mh_cycles) {
   cfg.Validate();
-  if (sampler == TrainSampler::kAliasMH) {
-    return RunMhSamplingKernel(device, cfg, chunk, replica, iteration,
-                               stream, steps, mh_cycles);
-  }
+  const bool mh = sampler == TrainSampler::kAliasMH;
+  CULDA_CHECK_MSG(!mh || mh_cycles >= 1,
+                  "kAliasMH needs at least one MH cycle per token");
+  CULDA_CHECK(billers.size() == chunks.size());
   const uint32_t K = cfg.num_topics;
   const uint32_t V = replica.vocab_size;
   CULDA_CHECK(replica.num_topics == K);
-  CULDA_CHECK(chunk.theta.cols() == K);
-  const float alpha = static_cast<float>(cfg.EffectiveAlpha());
-  const float beta = static_cast<float>(cfg.beta);
-  const float beta_v = beta * static_cast<float>(V);
-  const uint32_t samplers = cfg.samplers_per_block;
-  const uint32_t fanout = cfg.tree_fanout;
-  const uint64_t phi_b = cfg.phi_count_bytes();
-  const uint64_t idx_b = cfg.theta_index_bytes();
 
+  SamplingPass pass;
+  pass.chunks.resize(chunks.size());
+
+  // Every chunk's blocks grouped by word (a counting sort), in chunk then
+  // block order within a word.
+  struct BlockRef {
+    uint32_t chunk;
+    uint32_t block;
+  };
+  std::vector<uint64_t> word_begin(static_cast<size_t>(V) + 1, 0);
+  for (const ChunkState& chunk : chunks) {
+    CULDA_CHECK(chunk.theta.cols() == K);
+    for (const corpus::BlockWork& bw : chunk.work) {
+      CULDA_DCHECK(bw.word < V);
+      ++word_begin[bw.word + 1];
+    }
+    pass.blocks += chunk.work.size();
+  }
+  for (uint32_t w = 0; w < V; ++w) word_begin[w + 1] += word_begin[w];
+  std::vector<BlockRef> refs(pass.blocks);
+  {
+    std::vector<uint64_t> cursor(word_begin.begin(), word_begin.end() - 1);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      for (size_t b = 0; b < chunks[c].work.size(); ++b) {
+        refs[cursor[chunks[c].work[b].word]++] = {static_cast<uint32_t>(c),
+                                                  static_cast<uint32_t>(b)};
+      }
+    }
+  }
+  // Words are claimed heaviest first, so the last claims are light ones and
+  // the workers finish together.
+  std::vector<std::pair<uint64_t, uint32_t>> order;  // (tokens, word)
+  for (uint32_t w = 0; w < V; ++w) {
+    if (word_begin[w] == word_begin[w + 1]) continue;
+    uint64_t tokens = 0;
+    for (uint64_t r = word_begin[w]; r < word_begin[w + 1]; ++r) {
+      tokens += chunks[refs[r].chunk].work[refs[r].block].size();
+    }
+    order.emplace_back(tokens, w);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+
+  SamplingInputs in{cfg, replica, sampler, iteration, mh_cycles, {}};
+  std::vector<DocAliases> docs(mh ? chunks.size() : 0);
+  if (mh) {
+    // α-prior alias for the asymmetric doc-proposal branch (symmetric is a
+    // uniform pick — a constant-weight alias adds nothing).
+    if (!cfg.asymmetric_alpha.empty()) {
+      std::vector<float> weights(K);
+      for (uint32_t k = 0; k < K; ++k) {
+        weights[k] = static_cast<float>(cfg.AlphaOf(k));
+      }
+      in.alpha_alias.Build(weights);
+    }
+    const auto build = [&](size_t c) {
+      if (!chunks[c].work.empty()) docs[c] = BuildDocAliases(chunks[c]);
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(chunks.size(), build);
+    } else {
+      for (size_t c = 0; c < chunks.size(); ++c) build(c);
+    }
+  }
+
+  // Per-thread partials (slot = worker id + 1), merged in slot order below;
+  // every field is an integer, so the totals do not depend on which thread
+  // sampled which word.
+  struct alignas(64) Partial {
+    std::vector<ChunkSamplingTally> chunks;
+    uint64_t word_tables = 0;
+  };
+  std::vector<Partial> partials(pool != nullptr ? pool->worker_count() + 1
+                                                : 1);
+  for (Partial& p : partials) p.chunks.resize(chunks.size());
+  std::atomic<size_t> next{0};
+  const auto lane = [&](size_t) {
+    Partial& part =
+        partials[pool != nullptr ? pool->current_worker_id() + 1 : 0];
+    SamplerScratch& scratch = tl_scratch;
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                   order.size();) {
+      const uint32_t w = order[i].second;
+      const WordTable table = BuildWordTable(in, w, scratch);
+      ++part.word_tables;
+      for (uint64_t r = word_begin[w]; r < word_begin[w + 1]; ++r) {
+        const size_t c = refs[r].chunk;
+        ChunkState& chunk = chunks[c];
+        gpusim::SharedMemory& shared =
+            scratch.Arena(billers[c]->spec().shared_mem_per_block);
+        shared.Reset();
+        gpusim::BlockContext ctx(refs[r].block, SamplingLaunch(cfg, chunk),
+                                 &shared);
+        SamplingStepCounters local;
+        if (mh) {
+          SampleMhBlock(in, ctx, chunk, table, docs[c], local);
+        } else {
+          SampleTreeBlock(in, ctx, chunk, table, scratch, local);
+        }
+        BillSteps(local, ctx);
+        part.chunks[c].counters += ctx.counters();
+        part.chunks[c].steps += local;
+      }
+    }
+  };
+  if (pool != nullptr && pool->worker_count() > 0 && order.size() > 1) {
+    pool->ParallelFor(pool->worker_count() + 1, lane);
+  } else {
+    lane(0);
+  }
+
+  for (const Partial& part : partials) {
+    pass.word_tables += part.word_tables;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      pass.chunks[c].counters += part.chunks[c].counters;
+      pass.chunks[c].steps += part.chunks[c].steps;
+    }
+  }
+  return pass;
+}
+
+gpusim::KernelRecord BillSamplingKernel(gpusim::Device& device,
+                                        const CuldaConfig& cfg,
+                                        const ChunkState& chunk,
+                                        const ChunkSamplingTally& tally,
+                                        gpusim::Stream* stream) {
   if (chunk.work.empty()) {
     gpusim::KernelRecord rec;
     rec.name = "sampling";
     return rec;
   }
+  CULDA_CHECK_MSG(tally.counters.blocks == chunk.work.size(),
+                  "sampling tally of " << tally.counters.blocks
+                      << " blocks billed for a chunk of "
+                      << chunk.work.size());
+  return device.Bill("sampling", SamplingLaunch(cfg, chunk), tally.counters,
+                     stream);
+}
 
-  std::mutex steps_mutex;
-
-  const gpusim::LaunchConfig lc{static_cast<uint32_t>(chunk.work.size()),
-                                samplers * gpusim::kWarpSize,
-                                kSamplingMemDerate};
-
-  auto body = [&](gpusim::BlockContext& ctx) {
-    const corpus::BlockWork& bw = chunk.work[ctx.block_id()];
-    const uint32_t w = bw.word;
-    SamplerScratch& scratch = tl_scratch;
-    SamplingStepCounters local;
-
-    // ---- p*(k) = (φ_kv + β) / (n_k + βV): the common sub-expression of
-    // p1 and p2 (Eq. 8), computed once per block and cached in shared memory
-    // when reuse_pstar is on.
-    if (scratch.pstar.size() < K) scratch.pstar.resize(K);
-    const std::span<float> pstar(scratch.pstar.data(), K);
-    ComputePstar(replica.phi.Word(w), replica.nk, beta, beta_v, pstar);
-    // One φ column + n_k; the column is a strided walk over the device's K×V
-    // DRAM layout, n_k is small and hot so it hits L1.
-    local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
-    local.compute_q.l1_read_bytes += static_cast<uint64_t>(K) * 4;
-    local.compute_q.flops += 2ull * K;
-    if (cfg.reuse_pstar) {
-      // Cached in shared memory; subsequent uses are shared reads.
-      (void)ctx.shared().Alloc<float>(K);
-      ctx.WriteShared(static_cast<uint64_t>(K) * 4);
-    }
-
-    // ---- Q and the p2 index tree, shared by all samplers of the block
-    // when share_p2_tree is on; otherwise every token pays the rebuild. The
-    // tree is billed as built; the host keeps its leaves (p2_prefix).
-    const size_t p2_slots = IndexTreeView::StorageSlots(K, fanout);
-    bool p2_in_shared = false;
-    if (cfg.share_p2_tree &&
-        ctx.shared().capacity() - ctx.shared().used() >= p2_slots * 4) {
-      (void)ctx.shared().Alloc<float>(p2_slots);
-      p2_in_shared = true;
-    }
-    if (scratch.p2_prefix.size() < K) scratch.p2_prefix.resize(K);
-    const std::span<float> p2_prefix(scratch.p2_prefix.data(), K);
-    // p2(k) = α_k · p*(k) (α_k constant under the symmetric default).
-    const float q_mass =
-        P2PrefixSums(pstar, alpha, cfg.asymmetric_alpha, p2_prefix);
-    CULDA_CHECK_MSG(std::isfinite(q_mass) && q_mass >= 0.0f,
-                    "index-tree mass must be finite and non-negative, "
-                    "got " << q_mass << " (p2 of word " << w << ")");
-    // Scaling by α is part of computing Q; the prefix/tree construction
-    // belongs to the p2 sampling step (the paper's Table 1 attribution).
-    local.compute_q.flops += K;
-    local.sample_p2.flops += 2ull * K;
-    if (p2_in_shared) {
-      local.sample_p2.shared_write_bytes += p2_slots * 4;
-    } else {
-      local.sample_p2.global_write_bytes += p2_slots * 4;
-    }
-
-    // ---- Per-warp p1 arenas carved out of the remaining shared memory.
-    // A p1 tree that fits its warp's arena is billed as shared traffic;
-    // one that does not spills to (billed) global memory.
-    const size_t shared_left =
-        (ctx.shared().capacity() - ctx.shared().used()) / 4;
-    const size_t warp_arena_slots = shared_left / samplers;
-    if (warp_arena_slots > 0) {
-      (void)ctx.shared().Alloc<float>(warp_arena_slots * samplers);
-    }
-    const size_t p1_arena_slots = cfg.use_shared_trees ? warp_arena_slots : 0;
-
-    // ---- The samplers. One warp = one sampler; tokens are strided across
-    // the block's samplers (Figure 6).
-    for (uint32_t s = 0; s < samplers; ++s) {
-      for (uint64_t t = bw.token_begin + s; t < bw.token_end; t += samplers) {
-        const uint32_t local_doc = chunk.layout.token_doc[t];
-        ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
-
-        const auto theta_idx = chunk.theta.RowIndices(local_doc);
-        const auto theta_val = chunk.theta.RowValues(local_doc);
-        const uint64_t kd = theta_idx.size();
-        CULDA_DCHECK(kd > 0);
-
-        // θ_d row: indices via L1 (Section 6.1.2), values from DRAM.
-        if (cfg.l1_for_indices) {
-          local.compute_s.l1_read_bytes += kd * idx_b;
-        } else {
-          local.compute_s.global_read_bytes += kd * idx_b;
-        }
-        local.compute_s.global_read_bytes += kd * 4;
-
-        // p1 values and S = Σ p1 (the sparse bucket mass), kept as the
-        // prefix array the p1 draw searches.
-        if (scratch.p1_prefix.size() < kd) scratch.p1_prefix.resize(kd);
-        const std::span<float> p1_prefix(scratch.p1_prefix.data(), kd);
-        const float s_mass =
-            P1PrefixSums(theta_idx, theta_val, pstar, p1_prefix);
-        CULDA_CHECK_MSG(std::isfinite(s_mass) && s_mass >= 0.0f,
-                        "index-tree mass must be finite and non-negative, "
-                        "got " << s_mass << " (p1 of word " << w << ")");
-        local.compute_s.flops += 2 * kd;
-        if (cfg.reuse_pstar) {
-          local.compute_s.shared_read_bytes += kd * 4;
-        } else {
-          // p*(k) recomputed from φ/n_k for every non-zero.
-          local.compute_s.global_read_bytes += kd * phi_b;
-          local.compute_s.l1_read_bytes += kd * 4;
-          local.compute_s.flops += 2 * kd;
-        }
-        if (!cfg.share_p2_tree) {
-          // Without block-level sharing each token pays the p2 work.
-          local.compute_q.global_read_bytes += static_cast<uint64_t>(K) *
-                                               phi_b;
-          local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * 4;
-          local.compute_q.flops += 3ull * K;
-          local.sample_p2.flops += 2ull * K;
-          local.sample_p2.global_write_bytes += p2_slots * 4;
-        }
-
-        // Private p1 index tree (Figure 6), spilling past shared capacity.
-        // Billed as built; the host draws from its leaves (p1_prefix).
-        const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
-        const bool p1_in_shared = p1_arena_slots >= p1_slots;
-        local.sample_p1.flops += kd;
-        if (p1_in_shared) {
-          local.sample_p1.shared_write_bytes += p1_slots * 4;
-        } else {
-          local.sample_p1.global_write_bytes += p1_slots * 4;
-          ++local.p1_tree_spills;
-        }
-
-        // One uniform draw decides the bucket and is reused inside it
-        // (u | u < S is U(0, S)). The stream is keyed by the corpus-global
-        // token id, so draws are independent of the partition and schedule.
-        const uint64_t global_token = chunk.layout.token_global[t];
-        PhiloxStream rng(cfg.seed,
-                         (static_cast<uint64_t>(iteration) << 40) ^
-                             global_token);
-        const float total = s_mass + q_mass;
-        const float u = rng.NextFloat() * total;
-        local.compute_s.flops += 2;
-
-        uint32_t new_topic;
-        uint64_t inspected = 0;
-        if (u < s_mass) {
-          const size_t j = SearchPrefixTree(p1_prefix, fanout, u, &inspected);
-          new_topic = theta_idx[j];
-          local.sample_p1.flops += inspected;
-          if (p1_in_shared) {
-            local.sample_p1.shared_read_bytes += inspected * 4;
-          } else {
-            local.sample_p1.global_read_bytes += inspected * 4;
-          }
-          ++local.p1_branches;
-        } else {
-          const float u2 = std::min(u - s_mass, q_mass);
-          const size_t k = SearchPrefixTree(p2_prefix, fanout, u2, &inspected);
-          new_topic = static_cast<uint32_t>(k);
-          local.sample_p2.flops += inspected;
-          if (p2_in_shared) {
-            local.sample_p2.shared_read_bytes += inspected * 4;
-          } else {
-            local.sample_p2.global_read_bytes += inspected * 4;
-          }
-        }
-
-        chunk.z[t] = static_cast<uint16_t>(new_topic);
-        ctx.WriteGlobal(2);
-        ++local.tokens;
-      }
-    }
-
-    // Merge the per-step tallies into the block's billed counters.
-    for (const gpusim::KernelCounters* c :
-         {&local.compute_s, &local.compute_q, &local.sample_p1,
-          &local.sample_p2}) {
-      ctx.counters().global_read_bytes += c->global_read_bytes;
-      ctx.counters().l1_read_bytes += c->l1_read_bytes;
-      ctx.counters().global_write_bytes += c->global_write_bytes;
-      ctx.counters().shared_read_bytes += c->shared_read_bytes;
-      ctx.counters().shared_write_bytes += c->shared_write_bytes;
-      ctx.counters().flops += c->flops;
-    }
-    if (steps != nullptr) {
-      std::lock_guard<std::mutex> lock(steps_mutex);
-      steps->compute_s += local.compute_s;
-      steps->compute_q += local.compute_q;
-      steps->sample_p1 += local.sample_p1;
-      steps->sample_p2 += local.sample_p2;
-      steps->tokens += local.tokens;
-      steps->p1_branches += local.p1_branches;
-      steps->p1_tree_spills += local.p1_tree_spills;
-    }
-  };
-
-  return device.Launch("sampling", lc, body, stream);
+gpusim::KernelRecord RunSamplingKernel(
+    gpusim::Device& device, const CuldaConfig& cfg, ChunkState& chunk,
+    const PhiReplica& replica, uint32_t iteration, gpusim::Stream* stream,
+    SamplingStepCounters* steps, TrainSampler sampler, uint32_t mh_cycles) {
+  const gpusim::Device* biller = &device;
+  const SamplingPass pass =
+      SampleChunks(cfg, std::span<ChunkState>(&chunk, 1),
+                   std::span<const gpusim::Device* const>(&biller, 1),
+                   replica, iteration, device.pool(), sampler, mh_cycles);
+  if (steps != nullptr) *steps += pass.chunks[0].steps;
+  return BillSamplingKernel(device, cfg, chunk, pass.chunks[0], stream);
 }
 
 gpusim::KernelRecord RunZeroPhiKernel(gpusim::Device& device,

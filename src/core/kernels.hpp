@@ -14,14 +14,26 @@
 // All kernels are functional (they really produce the new model state) and
 // bill their true memory traffic through the BlockContext, which is where
 // the simulated times and the Table 1 roofline numbers come from.
+//
+// Sampling is split into a functional half and a billing half, as zero_phi
+// and compute_nk are. SampleChunks samples every chunk that reads one φ in
+// one word-major pass before the trainer's device fan-out: each word's p*
+// and p2 tree (or word alias) is built once per iteration, not once per
+// block per chunk, and each block's counters are recorded as the per-block
+// kernel would bill them. BillSamplingKernel then bills each chunk's launch
+// on its device at its stream position. RunSamplingKernel is the two halves
+// applied to one chunk.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/model.hpp"
 #include "core/sampler/sampler.hpp"
 #include "gpusim/device.hpp"
+#include "util/thread_pool.hpp"
 
 namespace culda::core {
 
@@ -55,16 +67,59 @@ struct SamplingStepCounters {
   }
 };
 
-/// Runs the sampling kernel over one chunk: reads θ/φ/n_k of the previous
-/// iteration, writes a new topic into chunk.z for every token. Deterministic
-/// in (cfg.seed, iteration, global token index) under either sampler.
+/// What one chunk's sampling recorded, for the device that bills it: the
+/// summed counters of the chunk's blocks (what Device::Launch would have
+/// billed for them) and the chunk's per-step tallies.
+struct ChunkSamplingTally {
+  gpusim::KernelCounters counters;
+  SamplingStepCounters steps;
+};
+
+/// Result of one SampleChunks pass.
+struct SamplingPass {
+  std::vector<ChunkSamplingTally> chunks;  ///< one per input chunk, in order
+  uint64_t blocks = 0;       ///< thread blocks sampled, over all chunks
+  uint64_t word_tables = 0;  ///< word tables built: one per distinct word
+};
+
+/// The functional half of the sampling kernel, over every chunk that reads
+/// `replica`: writes a new topic into chunk.z for every token of every
+/// chunk, reading θ/φ/n_k of the previous iteration. Deterministic in
+/// (cfg.seed, iteration, global token index) under either sampler.
 ///
 /// kTree is Algorithm 2's exact index-tree draw. kAliasMH draws the same
 /// stale per-iteration conditional p̃(k) ∝ (θ̃_dk + α_k)·(φ̃_kv + β)/(ñ_k + βV)
 /// through `mh_cycles` WarpLDA-style proposal pairs per token: a doc
 /// proposal from a per-document alias over the stale θ̃ row (row content is
 /// partition-invariant, so determinism holds at any GPU/chunk count) and a
-/// word proposal from a per-block alias over p*(k). See docs/samplers.md.
+/// word proposal from an alias over p*(k). See docs/samplers.md.
+///
+/// Every block samples one word, and its p* and p2 tree (kTree) or word
+/// alias (kAliasMH) depend only on the word and `replica`. So the pass visits
+/// all chunks' blocks word by word, on `pool`, and builds each word's table
+/// once for every block of that word in every chunk. Each block is still
+/// billed as the paper's kernel builds it: its own table, in the shared
+/// memory of `billers[c]`, the device that bills chunks[c]
+/// (BillSamplingKernel). See docs/simulator.md, "Functional vs billed work".
+SamplingPass SampleChunks(const CuldaConfig& cfg, std::span<ChunkState> chunks,
+                          std::span<const gpusim::Device* const> billers,
+                          const PhiReplica& replica, uint32_t iteration,
+                          ThreadPool* pool,
+                          TrainSampler sampler = TrainSampler::kTree,
+                          uint32_t mh_cycles = 1);
+
+/// The billing half of the sampling kernel: bills chunk's launch on `device`
+/// from the tally SampleChunks recorded for it (billers[c] == &device). A
+/// chunk with no blocks gets no launch.
+gpusim::KernelRecord BillSamplingKernel(gpusim::Device& device,
+                                        const CuldaConfig& cfg,
+                                        const ChunkState& chunk,
+                                        const ChunkSamplingTally& tally,
+                                        gpusim::Stream* stream = nullptr);
+
+/// Runs the sampling kernel over one chunk: SampleChunks on that chunk (on
+/// the device's pool), then BillSamplingKernel. Adds the chunk's per-step
+/// tallies to `steps` when given.
 gpusim::KernelRecord RunSamplingKernel(
     gpusim::Device& device, const CuldaConfig& cfg, ChunkState& chunk,
     const PhiReplica& replica, uint32_t iteration,

@@ -45,7 +45,6 @@ struct alignas(64) DevicePartial {
   double sampling_s = 0;
   double update_phi_s = 0;
   double update_theta_s = 0;
-  SamplingStepCounters steps;
 };
 
 }  // namespace
@@ -271,6 +270,7 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
   CULDA_OBS_SPAN("train/ws1");
   CULDA_OBS_TIMED("train.schedule_wall_s");
   std::vector<DevicePartial> partials(group_.size());
+  const SamplingPass pass = SampleAllChunks();
   // Zeroed once for every device; each device still bills its zero_phi.
   accum_.Clear();
   ForEachDevice([&](size_t g) {
@@ -280,10 +280,8 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
     ChunkState& chunk = chunks_[g];
     gpusim::Stream& compute = dev.stream(0);
 
-    const auto sampling = RunSamplingKernel(
-        dev, cfg_, chunk, model_, iteration_ + 1, &compute,
-        opts_.collect_step_counters ? &part.steps : nullptr, opts_.sampler,
-        opts_.mh_cycles);
+    const auto sampling =
+        BillSamplingKernel(dev, cfg_, chunk, pass.chunks[g], &compute);
     part.sampling_s += sampling.time.total_s;
 
     // φ first, so its sync can start while θ updates (Section 6.2). New
@@ -304,7 +302,6 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
     stats.sampling_s += part.sampling_s;
     stats.update_phi_s += part.update_phi_s;
     stats.update_theta_s += part.update_theta_s;
-    steps_ += part.steps;
   }
 }
 
@@ -313,6 +310,7 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
   CULDA_OBS_TIMED("train.schedule_wall_s");
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   std::vector<DevicePartial> partials(group_.size());
+  const SamplingPass pass = SampleAllChunks();
   // Zeroed once for every device; each device still bills its zero_phi.
   accum_.Clear();
   ForEachDevice([&](size_t g) {
@@ -332,17 +330,16 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
         BillZeroPhiKernel(dev, cfg_, accum_, &compute).time.total_s;
 
     for (uint32_t m = 0; m < m_; ++m) {
-      ChunkState& chunk = chunks_[m * g_count + g];
+      const size_t c = m * g_count + g;
+      ChunkState& chunk = chunks_[c];
       // Upload chunk m (tokens + z + θ). On the copy stream this overlaps
       // the previous chunk's compute — the Section 5.1 pipeline.
       const double up_done =
           dev.RecordTransfer(ChunkUploadBytes(chunk), "h2d", &copy_up);
       compute.WaitUntil(up_done);
 
-      const auto sampling = RunSamplingKernel(
-          dev, cfg_, chunk, model_, iteration_ + 1, &compute,
-          opts_.collect_step_counters ? &part.steps : nullptr, opts_.sampler,
-          opts_.mh_cycles);
+      const auto sampling =
+          BillSamplingKernel(dev, cfg_, chunk, pass.chunks[c], &compute);
       part.sampling_s += sampling.time.total_s;
       part.update_phi_s +=
           RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute).time.total_s;
@@ -363,8 +360,25 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
     stats.sampling_s += part.sampling_s;
     stats.update_phi_s += part.update_phi_s;
     stats.update_theta_s += part.update_theta_s;
-    steps_ += part.steps;
   }
+}
+
+SamplingPass CuldaTrainer::SampleAllChunks() {
+  CULDA_OBS_NAMED_SPAN(span, "train/sampling");
+  // Chunk c lives on GPU c mod G under both schedules.
+  std::vector<const gpusim::Device*> billers(chunks_.size());
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    billers[c] = &group_.device(c % group_.size());
+  }
+  SamplingPass pass =
+      SampleChunks(cfg_, chunks_, billers, model_, iteration_ + 1,
+                   opts_.pool, opts_.sampler, opts_.mh_cycles);
+  CULDA_OBS_SPAN_ARG(span, "blocks", pass.blocks);
+  CULDA_OBS_SPAN_ARG(span, "word_tables", pass.word_tables);
+  if (opts_.collect_step_counters) {
+    for (const ChunkSamplingTally& tally : pass.chunks) steps_ += tally.steps;
+  }
+  return pass;
 }
 
 void CuldaTrainer::SyncAndFinishIteration(IterationStats& stats) {

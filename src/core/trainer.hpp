@@ -190,6 +190,11 @@ class CuldaTrainer {
   void ForEachDevice(const std::function<void(size_t)>& fn);
   /// Rebuilds θ/φ/n_k from the current z (used at init and restore).
   void RebuildCountsFromZ();
+  /// Samples every chunk against model_ in one word-major pass
+  /// (SampleChunks), before the device-parallel region, and adds its step
+  /// tallies to steps_ when collecting; each device then bills its chunks
+  /// from the pass's tallies.
+  SamplingPass SampleAllChunks();
   void StepWs1(IterationStats& stats);
   void StepWs2(IterationStats& stats);
   void SyncAndFinishIteration(IterationStats& stats);

@@ -212,6 +212,17 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
   // The per-device schedule is CuldaTrainer's WS1 (resident chunks, φ
   // double-buffered, θ overlapping the sync on stream 1).
   std::vector<CellPartial> partials(chunks_.size());
+  // Every cell reads the one model_, so all N·G chunks are sampled in one
+  // word-major pass; each cell then bills its own launch.
+  std::vector<const gpusim::Device*> billers(chunks_.size());
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    for (size_t g = 0; g < opts_.gpus.size(); ++g) {
+      billers[ChunkIndex(n, g)] = &nodes_[n]->device(g);
+    }
+  }
+  const core::SamplingPass pass =
+      core::SampleChunks(cfg_, chunks_, billers, model_, sweep_ + 1,
+                         opts_.pool, opts_.sampler, opts_.mh_cycles);
   // Zeroed once for every cell; each cell still bills its zero_phi.
   accum_.Clear();
   ForEachNodeGpu([&](size_t n, size_t g) {
@@ -220,9 +231,8 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
     core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
     gpusim::Stream& compute = dev.stream(0);
 
-    const auto sampling = core::RunSamplingKernel(
-        dev, cfg_, chunk, model_, sweep_ + 1, &compute, nullptr,
-        opts_.sampler, opts_.mh_cycles);
+    const auto sampling = core::BillSamplingKernel(
+        dev, cfg_, chunk, pass.chunks[ChunkIndex(n, g)], &compute);
     part.sampling_s += sampling.time.total_s;
 
     core::BillZeroPhiKernel(dev, cfg_, accum_, &compute);

@@ -65,16 +65,20 @@ void Device::ResetTime() {
   for (auto& s : streams_) s->ready_ = 0;
 }
 
-KernelRecord Device::Launch(const std::string& name, const LaunchConfig& cfg,
-                            const KernelBody& body, Stream* stream) {
+void Device::CheckLaunchConfig(const LaunchConfig& cfg) const {
   CULDA_CHECK_MSG(cfg.block_dim % kWarpSize == 0,
                   "block_dim must be a multiple of the warp size");
   CULDA_CHECK_MSG(cfg.block_dim <= static_cast<uint32_t>(
                                        spec_.max_threads_per_block),
                   "block_dim " << cfg.block_dim << " exceeds device limit");
   CULDA_CHECK(cfg.grid_dim >= 1);
-  if (stream == nullptr) stream = streams_[0].get();
+  CULDA_CHECK_MSG(cfg.mem_derate > 0 && cfg.mem_derate <= 1.0,
+                  "mem_derate must be in (0, 1]");
+}
 
+KernelRecord Device::Launch(const std::string& name, const LaunchConfig& cfg,
+                            const KernelBody& body, Stream* stream) {
+  CheckLaunchConfig(cfg);
   KernelCounters total;
   if (pool_ != nullptr && pool_->worker_count() > 0 && cfg.grid_dim > 1) {
     // Each executing thread accumulates into its own cache-line-isolated
@@ -99,9 +103,13 @@ KernelRecord Device::Launch(const std::string& name, const LaunchConfig& cfg,
       total += ctx.counters();
     }
   }
+  return Bill(name, cfg, total, stream);
+}
 
-  CULDA_CHECK_MSG(cfg.mem_derate > 0 && cfg.mem_derate <= 1.0,
-                  "mem_derate must be in (0, 1]");
+KernelRecord Device::Bill(const std::string& name, const LaunchConfig& cfg,
+                          const KernelCounters& total, Stream* stream) {
+  CheckLaunchConfig(cfg);
+  if (stream == nullptr) stream = streams_[0].get();
   KernelRecord rec;
   rec.name = name;
   rec.counters = total;

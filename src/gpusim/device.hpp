@@ -125,6 +125,12 @@ class Device : public MemoryLedger {
   KernelRecord Launch(const std::string& name, const LaunchConfig& cfg,
                       const KernelBody& body, Stream* stream = nullptr);
 
+  /// The billing tail of Launch: bills a launch of `cfg` whose blocks
+  /// already ran elsewhere and summed to `total`, advancing `stream` and
+  /// the profile (and trace) exactly as Launch does after running them.
+  KernelRecord Bill(const std::string& name, const LaunchConfig& cfg,
+                    const KernelCounters& total, Stream* stream = nullptr);
+
   /// Host→device copy of `count` elements into `dst` (PCIe-billed).
   template <typename T>
   double CopyIn(DeviceBuffer<T>& dst, std::span<const T> src,
@@ -166,7 +172,11 @@ class Device : public MemoryLedger {
   void set_record_trace(bool on) { record_trace_ = on; }
   const std::vector<KernelRecord>& trace() const { return trace_; }
 
+  /// The pool this device runs its blocks on (may be null).
+  ThreadPool* pool() const { return pool_; }
+
  private:
+  void CheckLaunchConfig(const LaunchConfig& cfg) const;
   /// Per-executing-thread scratch for Launch: a reusable shared-memory arena
   /// plus a cache-line-isolated counter accumulator (slot 0 = the launching
   /// thread, slots 1..W = pool workers). Arenas persist across launches so

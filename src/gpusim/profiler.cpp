@@ -129,8 +129,13 @@ void WriteMergedChromeTrace(const DeviceGroup& group,
                           std::to_string(device.id()) + ")"});
     std::set<int> streams;
     for (const auto& rec : device.trace()) {
-      events.push_back({rec.name, device.id(), rec.stream_id, rec.start_s,
-                        rec.end_s - rec.start_s});
+      obs::TraceEvent e;
+      e.name = rec.name;
+      e.pid = device.id();
+      e.tid = rec.stream_id;
+      e.start_s = rec.start_s;
+      e.dur_s = rec.end_s - rec.start_s;
+      events.push_back(std::move(e));
       streams.insert(rec.stream_id);
     }
     for (const int s : streams) {

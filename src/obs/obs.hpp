@@ -80,6 +80,13 @@
 #define CULDA_OBS_SPAN(name) \
   ::culda::obs::ScopedSpan CULDA_OBS_CAT(culda_obs_span_, __LINE__)(name)
 
+/// CULDA_OBS_SPAN with the span object named `var`, so the scope can attach
+/// numeric args to it with CULDA_OBS_SPAN_ARG before it closes.
+#define CULDA_OBS_NAMED_SPAN(var, name) ::culda::obs::ScopedSpan var(name)
+/// Attaches `key = value` (an unsigned count) to the named span `var`; it
+/// shows in the span's Chrome-trace "args". No-op when tracing is off.
+#define CULDA_OBS_SPAN_ARG(var, key, value) (var).AddArg((key), (value))
+
 // -- labeled variants ---------------------------------------------------
 // Same handle-caching story, one series per call site: because the handle
 // is resolved once into a function-local static, `key` and `value` must be
@@ -160,6 +167,15 @@
 #define CULDA_OBS_SPAN(name) \
   do {                       \
     (void)sizeof((name));    \
+  } while (0)
+#define CULDA_OBS_NAMED_SPAN(var, name) \
+  do {                                  \
+    (void)sizeof((name));               \
+  } while (0)
+#define CULDA_OBS_SPAN_ARG(var, key, value) \
+  do {                                      \
+    (void)sizeof((key));                    \
+    (void)sizeof((value));                  \
   } while (0)
 #define CULDA_OBS_COUNT_L(name, key, value, delta) \
   do {                                             \

@@ -83,7 +83,8 @@ double SpanTracer::ToSeconds(
 }
 
 void SpanTracer::RecordSpan(std::string name, double start_s, double end_s,
-                            TraceContext ctx, uint64_t link_span_id) {
+                            TraceContext ctx, uint64_t link_span_id,
+                            SpanArgs args) {
   FlightRecorder& flight = FlightRecorder::Global();
   if (flight.enabled()) {
     flight.Record(name, end_s - start_s, ctx.trace_id);
@@ -92,8 +93,8 @@ void SpanTracer::RecordSpan(std::string name, double start_s, double end_s,
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = thread_tids_.try_emplace(self, next_tid_);
   if (inserted) ++next_tid_;
-  spans_.push_back(
-      {std::move(name), it->second, start_s, end_s, ctx, link_span_id});
+  spans_.push_back({std::move(name), it->second, start_s, end_s, ctx,
+                    link_span_id, std::move(args)});
 }
 
 void SpanTracer::Reset() {
@@ -113,7 +114,7 @@ std::vector<TraceEvent> SpanTracer::CollectEvents(int pid) const {
   events.reserve(spans_.size());
   for (const Span& s : spans_) {
     events.push_back({s.name, pid, s.tid, s.start_s, s.end_s - s.start_s,
-                      s.ctx, s.link_span_id});
+                      s.ctx, s.link_span_id, s.args});
   }
   return events;
 }
@@ -152,7 +153,7 @@ ScopedSpan::~ScopedSpan() {
   if (tracer_ != nullptr) {
     if (ctx_.valid()) t_current_ctx = saved_ctx_;
     tracer_->RecordSpan(std::move(name_), start_s_, tracer_->NowSeconds(),
-                        ctx_);
+                        ctx_, 0, std::move(args_));
   }
 }
 
@@ -211,7 +212,7 @@ void WriteChromeTraceJson(std::span<const TraceEvent> events,
         .Add("tid", e.tid)
         .Add("ts", e.start_s * 1e6)
         .Add("dur", e.dur_s * 1e6);
-    if (e.ctx.valid() || e.link_span_id != 0) {
+    if (e.ctx.valid() || e.link_span_id != 0 || !e.args.empty()) {
       JsonObject args;
       if (e.ctx.valid()) {
         args.Add("trace", HexId(e.ctx.trace_id))
@@ -221,6 +222,7 @@ void WriteChromeTraceJson(std::span<const TraceEvent> events,
         }
       }
       if (e.link_span_id != 0) args.Add("link", HexId(e.link_span_id));
+      for (const auto& [key, value] : e.args) args.Add(key, value);
       x.AddRaw("args", args.str());
     }
     sep() << "  " << x.str();

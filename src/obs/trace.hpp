@@ -76,8 +76,12 @@ TraceContext ChildContext(const TraceContext& parent);
 /// none). Plain ScopedSpans inherit this as their parent.
 TraceContext CurrentTraceContext();
 
+/// A numeric span annotation (ScopedSpan::AddArg).
+using SpanArgs = std::vector<std::pair<std::string, uint64_t>>;
+
 /// One complete Chrome "X" (duration) event, in seconds since the owning
-/// timeline's epoch. Nonzero ids surface in the event's "args" object.
+/// timeline's epoch. Nonzero ids and any args surface in the event's
+/// "args" object.
 struct TraceEvent {
   std::string name;
   int pid = 0;
@@ -86,6 +90,7 @@ struct TraceEvent {
   double dur_s = 0;
   TraceContext ctx;           ///< all-zero for context-less spans
   uint64_t link_span_id = 0;  ///< cross-trace link (request → batch span)
+  SpanArgs args;
 };
 
 /// Chrome trace metadata: names a process / thread row in the UI.
@@ -127,7 +132,8 @@ class SpanTracer {
   /// span in another trace (the coalesced batch span). Spans also mirror
   /// into the flight recorder when it is enabled.
   void RecordSpan(std::string name, double start_s, double end_s,
-                  TraceContext ctx = {}, uint64_t link_span_id = 0);
+                  TraceContext ctx = {}, uint64_t link_span_id = 0,
+                  SpanArgs args = {});
 
   /// Clears recorded spans and re-zeroes the epoch (thread ids persist).
   void Reset();
@@ -147,6 +153,7 @@ class SpanTracer {
     double end_s = 0;
     TraceContext ctx;
     uint64_t link_span_id = 0;
+    SpanArgs args;
   };
 
   std::atomic<bool> enabled_{false};
@@ -179,6 +186,12 @@ class ScopedSpan {
   /// This span's context (all-zero when inert or context-less).
   const TraceContext& ctx() const { return ctx_; }
 
+  /// Attaches `key = value` to the span's Chrome-trace "args" (e.g. the
+  /// work a phase did). Ignored when the span is inert.
+  void AddArg(std::string key, uint64_t value) {
+    if (tracer_ != nullptr) args_.emplace_back(std::move(key), value);
+  }
+
  private:
   void Begin(std::string name, const TraceContext& parent,
              SpanTracer& tracer);
@@ -188,6 +201,7 @@ class ScopedSpan {
   double start_s_ = 0;
   TraceContext ctx_;
   TraceContext saved_ctx_;  ///< thread-local context to restore
+  SpanArgs args_;
 };
 
 /// Writes `events` (+ process/thread naming metadata) as one Chrome

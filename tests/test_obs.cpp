@@ -317,6 +317,76 @@ TEST(ObsTrace, ChromeJsonCarriesMetadataAndEvents) {
   EXPECT_EQ(s.front(), '{');
 }
 
+TEST(ObsTrace, SpanArgsReachTheChromeJson) {
+  SpanTracer tracer;
+  tracer.set_enabled(true);
+  {
+    ScopedSpan span("counted", tracer);
+    span.AddArg("blocks", 7);
+    span.AddArg("word_tables", 5);
+  }
+  const auto events = tracer.CollectEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].args,
+            (SpanArgs{{"blocks", 7}, {"word_tables", 5}}));
+  std::ostringstream out;
+  WriteChromeTrace(tracer, out);
+  EXPECT_NE(out.str().find("\"args\":{\"blocks\":7,\"word_tables\":5}"),
+            std::string::npos)
+      << out.str();
+
+  SpanTracer off;  // an inert span drops its args with it
+  {
+    ScopedSpan span("invisible", off);
+    span.AddArg("blocks", 7);
+  }
+  EXPECT_EQ(off.span_count(), 0u);
+}
+
+#ifndef CULDA_OBS_OFF
+TEST_F(ObsTest, TrainerSamplesAllChunksInOneSpanBeforeTheDeviceSpans) {
+  // WS2 over 2 GPUs: 4 chunks, sampled in one word-major pass whose span
+  // carries the pass's block and word-table counts; the per-device spans
+  // that follow cover only billing and the updates.
+  corpus::SyntheticProfile profile;
+  profile.num_docs = 200;
+  profile.vocab_size = 120;
+  profile.seed = 5;
+  const auto corpus = corpus::GenerateCorpus(profile);
+  core::CuldaConfig cfg;
+  cfg.num_topics = 16;
+  core::TrainerOptions opts;
+  opts.gpus.assign(2, gpusim::TitanXpPascal());
+  opts.chunks_per_gpu = 2;
+  core::CuldaTrainer trainer(corpus, cfg, opts);
+  SpanTracer::Global().Reset();
+  trainer.Step();
+
+  const auto events = SpanTracer::Global().CollectEvents();
+  const TraceEvent* sampling = nullptr;
+  std::vector<const TraceEvent*> devices;
+  for (const TraceEvent& e : events) {
+    if (e.name == "train/sampling") sampling = &e;
+    if (e.name.rfind("train/ws2 gpu", 0) == 0) devices.push_back(&e);
+  }
+  ASSERT_NE(sampling, nullptr);
+  ASSERT_EQ(devices.size(), 2u);
+  for (const TraceEvent* d : devices) {
+    EXPECT_GE(d->start_s, sampling->start_s + sampling->dur_s);
+  }
+  ASSERT_EQ(sampling->args.size(), 2u);
+  EXPECT_EQ(sampling->args[0].first, "blocks");
+  EXPECT_EQ(sampling->args[1].first, "word_tables");
+  const uint64_t blocks = sampling->args[0].second;
+  const uint64_t tables = sampling->args[1].second;
+  // Every word occurs in several of the 4 chunks, so there are fewer
+  // tables than blocks, and at most one per vocabulary word.
+  EXPECT_GT(tables, 0u);
+  EXPECT_LE(tables, corpus.vocab_size());
+  EXPECT_LT(tables, blocks);
+}
+#endif
+
 TEST_F(ObsTest, JsonlSinkWritesOneSchemaStampedLinePerSnapshot) {
   const std::string path = ::testing::TempDir() + "obs_sink_test.jsonl";
   {
