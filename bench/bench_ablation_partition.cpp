@@ -39,17 +39,9 @@ SyncVolumes Volumes(uint64_t theta_nnz, uint64_t num_topics,
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   // The table rows' corpora grow with --scale, and so does their heaviest
-  // word: past 0.4 it occurs more than 65,535 times, the 16-bit φ count cap
-  // (ROADMAP item 5) every trainer rejects. 0.3 keeps it near 47,000.
+  // word: 0.3 keeps it near 47,000, under the 16-bit φ count cap that
+  // MakeCorpus checks.
   const double scale = flags.GetDouble("scale", 0.3);
-  constexpr double kMaxScale = 0.4;
-  if (scale > kMaxScale) {
-    std::fprintf(stderr,
-                 "error: --scale=%g puts the bench corpora's heaviest word "
-                 "over the 65535 phi count cap; use --scale<=%g\n",
-                 scale, kMaxScale);
-    return 1;
-  }
   bench::PrintBanner(
       "Ablation A4 — workload partition policy (Section 4)",
       "Per-iteration model-sync volume: partition-by-document syncs phi "

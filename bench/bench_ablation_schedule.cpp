@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   // (a) WS2 overlap: a memory-capped Pascal streaming M chunks.
   {
     const auto corpus = bench::MakeCorpus(
-        flags, bench::PubMedBenchProfile(flags.GetDouble("scale", 1.0)),
+        flags, bench::PubMedBenchProfile(flags.GetDouble("scale", 0.3)),
         "pubmed");
     std::printf("%s\n\n", corpus.Summary("PubMed profile").c_str());
 

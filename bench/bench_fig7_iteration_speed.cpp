@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   const int iters = static_cast<int>(flags.GetInt("iters", 30));
   const int warp_iters = static_cast<int>(flags.GetInt("warp-iters", 5));
-  const double scale = flags.GetDouble("scale", 1.0);
+  const double scale = flags.GetDouble("scale", 0.3);
   core::CuldaConfig cfg = bench::BenchConfig(flags);
 
   struct Dataset {

@@ -37,7 +37,7 @@ core::GatheredModel MakeModel(uint32_t k_topics, uint32_t vocab,
   core::GatheredModel model;
   model.num_topics = k_topics;
   model.vocab_size = vocab;
-  model.phi = core::PhiMatrix(k_topics, vocab);
+  model.phi = core::WordMajorPhi(k_topics, vocab);
   model.nk.assign(k_topics, 0);
   PhiloxStream rng(seed, 0);
   for (uint32_t v = 0; v < vocab; ++v) {
@@ -51,7 +51,7 @@ core::GatheredModel MakeModel(uint32_t k_topics, uint32_t vocab,
   }
   for (uint32_t k = 0; k < k_topics; ++k) {
     int64_t sum = 0;
-    for (const uint16_t c : model.phi.Row(k)) sum += c;
+    for (uint32_t v = 0; v < vocab; ++v) sum += model.phi(k, v);
     model.nk[k] = static_cast<int32_t>(sum);
   }
   return model;

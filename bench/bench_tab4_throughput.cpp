@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   const int iters = static_cast<int>(flags.GetInt("iters", 20));
-  const double scale = flags.GetDouble("scale", 1.0);
+  const double scale = flags.GetDouble("scale", 0.3);
   core::CuldaConfig cfg = bench::BenchConfig(flags);
   const int warp_iters =
       static_cast<int>(flags.GetInt("warp-iters", std::min(iters, 5)));

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                      "paper values right.");
 
   const auto profile =
-      bench::NyTimesBenchProfile(flags.GetDouble("scale", 1.0));
+      bench::NyTimesBenchProfile(flags.GetDouble("scale", 0.3));
   const auto corpus = bench::MakeCorpus(flags, profile, "nytimes");
   const int iters = static_cast<int>(flags.GetInt("iters", 10));
   core::CuldaConfig cfg = bench::BenchConfig(flags);

@@ -30,9 +30,22 @@ corpus::Corpus MakeCorpus(const CliFlags& flags,
   const std::string uci = flags.GetString("uci-" + flag_name, "");
   if (!uci.empty()) {
     std::printf("loading real UCI corpus from %s\n", uci.c_str());
-    return corpus::ReadUciBagOfWordsFile(uci);
   }
-  return corpus::GenerateCorpus(profile);
+  corpus::Corpus corpus = uci.empty() ? corpus::GenerateCorpus(profile)
+                                      : corpus::ReadUciBagOfWordsFile(uci);
+  // Every trainer rejects a word past the 16-bit φ count cap (ROADMAP item
+  // 5); name it before any work rather than end on the uncaught error.
+  const std::vector<uint64_t> freq = corpus.WordFrequencies();
+  for (size_t v = 0; v < freq.size(); ++v) {
+    if (freq[v] > 0xFFFF) {
+      std::fprintf(stderr,
+                   "error: word %zu occurs %llu times, over the 65535 cap "
+                   "of 16-bit phi counts; lower --scale\n",
+                   v, static_cast<unsigned long long>(freq[v]));
+      std::exit(1);
+    }
+  }
+  return corpus;
 }
 
 core::CuldaConfig BenchConfig(const CliFlags& flags) {

@@ -24,9 +24,9 @@ namespace {
 std::vector<std::pair<uint32_t, uint32_t>> TopWords(
     const core::GatheredModel& model, uint32_t k, size_t top_n) {
   std::vector<std::pair<uint32_t, uint32_t>> words;  // (count, word)
-  const auto row = model.phi.Row(k);
   for (uint32_t v = 0; v < model.vocab_size; ++v) {
-    if (row[v] > 0) words.emplace_back(row[v], v);
+    const uint16_t c = model.phi(k, v);
+    if (c > 0) words.emplace_back(c, v);
   }
   std::partial_sort(words.begin(),
                     words.begin() + std::min(top_n, words.size()),

@@ -120,22 +120,32 @@ double LogLikelihoodPerToken(const GatheredModel& model,
     chunk_tokens[c] = tokens;
   });
 
-  // Topic side: one partial per φ row, reduced in topic order.
+  // Topic side: one partial per topic, each summed over v ascending and
+  // reduced in topic order. φ is word-major, so each task owns a fixed block
+  // of topics and walks every word's slice of it; the per-topic sums add
+  // the same terms in the same order for any block width or pool.
+  constexpr uint32_t kTopicBlock = 64;
   std::vector<double> topic_ll(k_topics, 0.0);
-  run(k_topics, [&](size_t k) {
-    const auto row = model.phi.Row(k);
-    double acc = 0;
-    uint64_t nonzero = 0;
-    for (const uint16_t c : row) {
-      if (c != 0) {
-        acc += lg_phi(c);
-        ++nonzero;
+  std::vector<uint64_t> nonzero(k_topics, 0);
+  run((k_topics + kTopicBlock - 1) / kTopicBlock, [&](size_t b) {
+    const uint32_t k_begin = static_cast<uint32_t>(b) * kTopicBlock;
+    const uint32_t k_end = std::min(k_topics, k_begin + kTopicBlock);
+    for (uint32_t v = 0; v < v_words; ++v) {
+      const uint16_t* counts = model.phi.Word(v).data();
+      for (uint32_t k = k_begin; k < k_end; ++k) {
+        if (counts[k] != 0) {
+          topic_ll[k] += lg_phi(counts[k]);
+          ++nonzero[k];
+        }
       }
     }
-    acc += static_cast<double>(v_words - nonzero) * lg_beta;
-    topic_ll[k] = acc - v_words * lg_beta + lg_v_beta -
-                  std::lgamma(static_cast<double>(model.nk[k]) +
-                              v_words * beta);
+    for (uint32_t k = k_begin; k < k_end; ++k) {
+      const double acc = topic_ll[k] +
+                         static_cast<double>(v_words - nonzero[k]) * lg_beta;
+      topic_ll[k] = acc - v_words * lg_beta + lg_v_beta -
+                    std::lgamma(static_cast<double>(model.nk[k]) +
+                                v_words * beta);
+    }
   });
 
   double ll = 0;

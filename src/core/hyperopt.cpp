@@ -133,7 +133,8 @@ HyperOptResult OptimizeBeta(const GatheredModel& model, double beta,
         double num = 0;
         const double psi_b = Digamma(b);
         for (uint32_t k = 0; k < model.num_topics; ++k) {
-          for (const uint16_t c : model.phi.Row(k)) {
+          for (uint32_t v = 0; v < v_words; ++v) {
+            const uint16_t c = model.phi(k, v);
             if (c != 0) num += Digamma(c + b) - psi_b;
           }
         }

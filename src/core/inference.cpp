@@ -25,38 +25,14 @@ InferenceEngine::InferenceEngine(const GatheredModel& model, CuldaConfig cfg,
                       cfg_.beta * model.vocab_size;
     inv_denom_[k] = 1.0 / topic_denom_[k];
   }
+  tables_.phi = model.phi.flat().data();
   BuildSmoothingTree();
   BuildWordColumns();
   if (options_.sampler == InferSampler::kAliasMH) {
     CULDA_CHECK_MSG(options_.mh_cycles >= 1,
                     "kAliasMH needs at least one MH cycle per token");
     BuildAliasTables();
-  } else if (options_.sampler == InferSampler::kDenseReference) {
-    // Contiguous transpose of φ so the O(K) column scans walk adjacent
-    // memory (and the SIMD zero-run skip applies). Same uint16 values read
-    // in the same k order as the row-major reads they replace.
-    const uint32_t k_topics = model.num_topics;
-    phi_t_.resize(static_cast<size_t>(model.vocab_size) * k_topics);
-    for (uint32_t k = 0; k < k_topics; ++k) {
-      const auto row = model.phi.Row(k);
-      for (uint32_t v = 0; v < model.vocab_size; ++v) {
-        phi_t_[static_cast<size_t>(v) * k_topics + k] = row[v];
-      }
-    }
   }
-
-  primary_tables_.phi = model_->phi.flat().data();
-  primary_tables_.col_ptr = col_ptr_.data();
-  primary_tables_.col_topic = col_topic_.data();
-  primary_tables_.col_prefix = col_prefix_.data();
-  primary_tables_.word_mass = word_mass_.data();
-  primary_tables_.mh_word_mass = mh_word_mass_.data();
-  primary_tables_.mh_prob = mh_prob_.data();
-  primary_tables_.mh_alias = mh_alias_.data();
-  primary_tables_.beta_alias = &beta_alias_;
-  primary_tables_.alpha_alias = &alpha_alias_;
-  primary_tables_.phi_t = phi_t_.data();
-  primary_tables_.smooth_tree = smooth_tree_;
   BuildReplicas();
 }
 
@@ -69,57 +45,35 @@ void InferenceEngine::BuildReplicas() {
   replicas_.resize(pool->socket_count());
   // Each socket's copy is made by (one of) its own workers, so the vector
   // pages are first-touched — and with pinned workers, physically placed —
-  // on that socket's NUMA node. Socket 0 keeps reading the primary tables,
-  // which this builder thread already touched.
+  // on that socket's NUMA node. Socket 0 keeps reading tables_, which this
+  // builder thread already touched.
   pool->ForEachSocket([&](size_t s) {
     if (s == 0) return;
-    auto rep = std::make_unique<Replica>();
-    const auto phi_flat = model_->phi.flat();
-    rep->phi.assign(phi_flat.begin(), phi_flat.end());
-    rep->col_ptr = col_ptr_;
-    rep->col_topic = col_topic_;
-    rep->col_prefix = col_prefix_;
-    rep->word_mass = word_mass_;
-    rep->mh_word_mass = mh_word_mass_;
-    rep->mh_prob = mh_prob_;
-    rep->mh_alias = mh_alias_;
-    rep->beta_alias = beta_alias_;
-    rep->alpha_alias = alpha_alias_;
-    rep->phi_t = phi_t_;
-    rep->smooth_storage = smooth_storage_;
-
-    Tables& t = rep->tables;
-    t.phi = rep->phi.data();
-    t.col_ptr = rep->col_ptr.data();
-    t.col_topic = rep->col_topic.data();
-    t.col_prefix = rep->col_prefix.data();
-    t.word_mass = rep->word_mass.data();
-    t.mh_word_mass = rep->mh_word_mass.data();
-    t.mh_prob = rep->mh_prob.data();
-    t.mh_alias = rep->mh_alias.data();
-    t.beta_alias = &rep->beta_alias;
-    t.alpha_alias = &rep->alpha_alias;
-    t.phi_t = rep->phi_t.data();
+    auto rep = std::make_unique<TableSet>(tables_);
+    const auto phi = model_->phi.flat();
+    rep->own_phi.assign(phi.begin(), phi.end());
+    rep->phi = rep->own_phi.data();
     // Binding a view computes level offsets only — the copied storage
     // already holds the built tree values.
-    t.smooth_tree = IndexTreeView(rep->smooth_storage, model_->num_topics,
-                                  cfg_.tree_fanout);
+    rep->smooth_tree = IndexTreeView(rep->smooth_storage, model_->num_topics,
+                                     cfg_.tree_fanout);
     replicas_[s] = std::move(rep);
   });
 }
 
-const InferenceEngine::Tables& InferenceEngine::CurrentTables() const {
-  if (replicas_.empty()) return primary_tables_;
-  const Replica* rep =
+const InferenceEngine::TableSet& InferenceEngine::CurrentTables() const {
+  if (replicas_.empty()) return tables_;
+  const TableSet* rep =
       replicas_[static_cast<size_t>(options_.pool->current_socket())].get();
-  return rep != nullptr ? rep->tables : primary_tables_;
+  return rep != nullptr ? *rep : tables_;
 }
 
 void InferenceEngine::BuildSmoothingTree() {
   const uint32_t k_topics = model_->num_topics;
-  smooth_storage_.resize(
+  TableSet& t = tables_;
+  t.smooth_storage.resize(
       IndexTreeView::StorageSlots(k_topics, cfg_.tree_fanout));
-  smooth_tree_ = IndexTreeView(smooth_storage_, k_topics, cfg_.tree_fanout);
+  t.smooth_tree = IndexTreeView(t.smooth_storage, k_topics, cfg_.tree_fanout);
   std::vector<float> terms(k_topics);
   smooth_mass_ = 0;
   if (cfg_.asymmetric_alpha.empty()) {
@@ -136,58 +90,53 @@ void InferenceEngine::BuildSmoothingTree() {
       terms[k] = static_cast<float>(s_k);
     }
   }
-  smooth_tree_.Build(terms);
+  t.smooth_tree.Build(terms);
 }
 
 void InferenceEngine::BuildWordColumns() {
   const uint32_t k_topics = model_->num_topics;
   const uint32_t v_words = model_->vocab_size;
+  TableSet& t = tables_;
 
-  // Counting-sort transpose of the dense φ: pass 1 sizes the columns
-  // (integer nonzero counting — exact, so the SIMD variant is trivially
-  // identical), pass 2 (k ascending) appends by zero-run skipping each row,
-  // so each column's topics come out sorted.
-  std::vector<int32_t> nnz(v_words, 0);
-  for (uint32_t k = 0; k < k_topics; ++k) {
-    simd::AccumulateNonZeroU16(model_->phi.Row(k).data(), nnz.data(),
-                               v_words);
-  }
-  col_ptr_.assign(v_words + 1, 0);
-  for (uint32_t v = 0; v < v_words; ++v) {
-    col_ptr_[v + 1] = col_ptr_[v] + static_cast<uint64_t>(nnz[v]);
-  }
-
-  col_topic_.resize(col_ptr_[v_words]);
-  std::vector<uint64_t> cursor(col_ptr_.begin(), col_ptr_.end() - 1);
-  for (uint32_t k = 0; k < k_topics; ++k) {
-    const uint16_t* row = model_->phi.Row(k).data();
-    for (size_t v = simd::NextNonZeroU16(row, v_words, 0); v < v_words;
-         v = simd::NextNonZeroU16(row, v_words, v + 1)) {
-      col_topic_[cursor[v]++] = static_cast<uint16_t>(k);
-    }
-  }
-
-  // The in-column prefix feeds only the exact samplers' W binary search;
-  // kAliasMH replaces it with per-column alias cells (BuildAliasTables), so
-  // skip the allocation there. word_mass_ is always needed — it is the
-  // sparse/MH scoring W mass.
+  // One scan per word over its contiguous K counts lists its nonzero topics
+  // in ascending order, so each column comes out sorted and its prefix adds
+  // the WordTerm values in the order every sampler mode does. The prefix
+  // feeds only the exact samplers' W binary search; kAliasMH replaces it
+  // with per-column alias cells (BuildAliasTables), so it is skipped there.
+  // word_mass is always needed — it is the sparse/MH scoring W mass.
   const bool need_prefix = options_.sampler != InferSampler::kAliasMH;
-  col_prefix_.resize(need_prefix ? col_topic_.size() : 0);
-  word_mass_.assign(v_words, 0.0);
+  std::vector<uint32_t> nonzero(k_topics);
+  const auto list_word = [&](uint32_t v) {
+    return simd::NonZeroIndicesU16(t.phi + static_cast<size_t>(v) * k_topics,
+                                   k_topics, nonzero.data());
+  };
+  // A first pass counts the nonzeros, so the columns are allocated once at
+  // their final size rather than grown (which would raise peak memory).
+  size_t nnz = 0;
+  for (uint32_t v = 0; v < v_words; ++v) nnz += list_word(v);
+  t.col_topic.reserve(nnz);
+  if (need_prefix) t.col_prefix.reserve(nnz);
+  t.col_ptr.assign(v_words + 1, 0);
+  t.word_mass.assign(v_words, 0.0);
   for (uint32_t v = 0; v < v_words; ++v) {
+    const uint16_t* counts = t.phi + static_cast<size_t>(v) * k_topics;
+    const size_t n = list_word(v);
     double acc = 0;
-    for (uint64_t j = col_ptr_[v]; j < col_ptr_[v + 1]; ++j) {
-      const uint32_t k = col_topic_[j];
-      acc += WordTerm(k, model_->phi(k, v));
-      if (need_prefix) col_prefix_[j] = acc;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t k = nonzero[i];
+      acc += WordTerm(k, counts[k]);
+      t.col_topic.push_back(static_cast<uint16_t>(k));
+      if (need_prefix) t.col_prefix.push_back(acc);
     }
-    word_mass_[v] = acc;
+    t.word_mass[v] = acc;
+    t.col_ptr[v + 1] = t.col_topic.size();
   }
 }
 
 void InferenceEngine::BuildAliasTables() {
   const uint32_t k_topics = model_->num_topics;
   const uint32_t v_words = model_->vocab_size;
+  TableSet& t = tables_;
   alpha_sum_ = cfg_.AlphaSum();
 
   // Shared smoothing branch of the word proposal: β·inv_denom[k], drawn
@@ -198,7 +147,7 @@ void InferenceEngine::BuildAliasTables() {
     beta_mass_ += cfg_.beta * inv_denom_[k];
     weights[k] = static_cast<float>(inv_denom_[k]);
   }
-  beta_alias_.Build(weights);
+  t.beta_alias.Build(weights);
 
   // Doc-proposal prior branch: uniform when symmetric (no table needed —
   // a constant-weight alias is just NextBelow(K)), an α_k alias otherwise.
@@ -206,31 +155,31 @@ void InferenceEngine::BuildAliasTables() {
     for (uint32_t k = 0; k < k_topics; ++k) {
       weights[k] = static_cast<float>(cfg_.AlphaOf(k));
     }
-    alpha_alias_.Build(weights);
+    t.alpha_alias.Build(weights);
   }
 
   // φ-sparse branch of the word proposal: per-word alias cells over
   // φ_kv·inv_denom[k], packed into two flat arrays sharing the CSC column
   // layout. Serving never mutates φ, so — unlike the trainer's stale-table
   // construction — these proposals are exact for the engine's lifetime.
-  mh_word_mass_.assign(v_words, 0.0);
-  mh_prob_.resize(col_topic_.size());
-  mh_alias_.resize(col_topic_.size());
+  t.mh_word_mass.assign(v_words, 0.0);
+  t.mh_prob.resize(t.col_topic.size());
+  t.mh_alias.resize(t.col_topic.size());
   AliasBuildScratch scratch;
   std::vector<float> col_w;
   for (uint32_t v = 0; v < v_words; ++v) {
-    const uint64_t begin = col_ptr_[v];
-    const uint64_t len = col_ptr_[v + 1] - begin;
+    const uint64_t begin = t.col_ptr[v];
+    const uint64_t len = t.col_ptr[v + 1] - begin;
     if (len == 0) continue;  // all-zero column: the β branch covers it
     col_w.resize(len);
     for (uint64_t j = 0; j < len; ++j) {
-      const uint32_t k = col_topic_[begin + j];
-      col_w[j] = static_cast<float>(static_cast<double>(model_->phi(k, v)) *
+      const uint32_t k = t.col_topic[begin + j];
+      col_w[j] = static_cast<float>(static_cast<double>(PhiAt(t, k, v)) *
                                     inv_denom_[k]);
     }
-    mh_word_mass_[v] = BuildAliasInto(
-        col_w, std::span<float>(mh_prob_.data() + begin, len),
-        std::span<uint16_t>(mh_alias_.data() + begin, len), scratch);
+    t.mh_word_mass[v] = BuildAliasInto(
+        col_w, std::span<float>(t.mh_prob.data() + begin, len),
+        std::span<uint16_t>(t.mh_alias.data() + begin, len), scratch);
   }
 }
 
@@ -242,7 +191,7 @@ double InferenceEngine::WordGivenTopic(uint32_t word, uint32_t k) const {
 
 double InferenceEngine::WordMass(uint32_t word) const {
   CULDA_CHECK(word < model_->vocab_size);
-  return word_mass_[word];
+  return tables_.word_mass[word];
 }
 
 void InferenceEngine::EnsureScratch(Scratch& s) const {
@@ -274,7 +223,7 @@ inline void DecCount(std::vector<int32_t>& count, std::vector<uint32_t>& nz,
 }  // namespace
 
 void InferenceEngine::BucketMasses(uint32_t word, const Scratch& s,
-                                   const Tables& t, double* q,
+                                   const TableSet& t, double* q,
                                    double* w) const {
   if (options_.sampler != InferSampler::kDenseReference) {
     // Sparse bucket mode — and kAliasMH scoring, which uses the same exact
@@ -288,13 +237,13 @@ void InferenceEngine::BucketMasses(uint32_t word, const Scratch& s,
     *w = t.word_mass[word];
     return;
   }
-  // Dense reference: one full pass down the contiguous φ-transpose column,
+  // Dense reference: one full pass over the word's contiguous φ counts,
   // both masses at once. Q and W accumulate separately, each in ascending-k
   // order over exactly the terms the scalar loop added, so skipping the
   // zero runs of either cursor cannot change a bit.
   double q_acc = 0, w_acc = 0;
   const size_t k_topics = model_->num_topics;
-  const uint16_t* col = t.phi_t + static_cast<size_t>(word) * k_topics;
+  const uint16_t* col = t.phi + static_cast<size_t>(word) * k_topics;
   const int32_t* cnt = s.count.data();
   size_t kc = simd::NextNonZeroI32(cnt, k_topics, 0);
   size_t kf = simd::NextNonZeroU16(col, k_topics, 0);
@@ -317,7 +266,7 @@ void InferenceEngine::BucketMasses(uint32_t word, const Scratch& s,
 
 uint32_t InferenceEngine::SampleTopic(uint32_t word, double q, double w,
                                       double u, const Scratch& s,
-                                      const Tables& t) const {
+                                      const TableSet& t) const {
   const bool sparse = options_.sampler != InferSampler::kDenseReference;
   if (u < q) {
     // Doc bucket: rescan the same DocTerm sequence until the running prefix
@@ -333,7 +282,7 @@ uint32_t InferenceEngine::SampleTopic(uint32_t word, double q, double w,
       return s.nz.back();
     }
     const size_t k_topics = model_->num_topics;
-    const uint16_t* col = t.phi_t + static_cast<size_t>(word) * k_topics;
+    const uint16_t* col = t.phi + static_cast<size_t>(word) * k_topics;
     const int32_t* cnt = s.count.data();
     uint32_t last = 0;
     for (size_t k = simd::NextNonZeroI32(cnt, k_topics, 0); k < k_topics;
@@ -352,14 +301,14 @@ uint32_t InferenceEngine::SampleTopic(uint32_t word, double q, double w,
     if (sparse) {
       const uint64_t begin = t.col_ptr[word];
       const uint64_t len = t.col_ptr[word + 1] - begin;
-      const std::span<const double> prefix(t.col_prefix + begin, len);
+      const std::span<const double> prefix(t.col_prefix.data() + begin, len);
       const size_t j = static_cast<size_t>(
           std::upper_bound(prefix.begin(), prefix.end(), uw) -
           prefix.begin());
       return t.col_topic[begin + std::min(j, static_cast<size_t>(len - 1))];
     }
     const size_t k_topics = model_->num_topics;
-    const uint16_t* col = t.phi_t + static_cast<size_t>(word) * k_topics;
+    const uint16_t* col = t.phi + static_cast<size_t>(word) * k_topics;
     double acc = 0;
     uint32_t last = 0;
     for (size_t k = simd::NextNonZeroU16(col, k_topics, 0); k < k_topics;
@@ -398,7 +347,7 @@ void InferenceEngine::FoldIn(std::span<const uint32_t> words,
   s.z.resize(words.size());
   // Resolved once per document: the socket a document runs on is fixed for
   // its whole fold-in (ThreadPool shard bodies never migrate mid-shard).
-  const Tables& t = CurrentTables();
+  const TableSet& t = CurrentTables();
 
   if (options_.sampler == InferSampler::kAliasMH) {
     // The MH path keeps only the dense counts hot during sweeps, logging
@@ -442,7 +391,7 @@ void InferenceEngine::FoldIn(std::span<const uint32_t> words,
 
 void InferenceEngine::FoldInMh(std::span<const uint32_t> words,
                                uint32_t iterations, PhiloxStream& rng,
-                               Scratch& s, const Tables& t) const {
+                               Scratch& s, const TableSet& t) const {
   const uint32_t k_topics = model_->num_topics;
   const size_t len = words.size();
   // Doc-proposal mixture mass: the len−1 *other* tokens plus the α prior.
@@ -467,8 +416,8 @@ void InferenceEngine::FoldInMh(std::span<const uint32_t> words,
 
       const uint64_t begin = t.col_ptr[v];
       const uint64_t clen = t.col_ptr[v + 1] - begin;
-      const std::span<const float> cprob(t.mh_prob + begin, clen);
-      const std::span<const uint16_t> calias(t.mh_alias + begin, clen);
+      const std::span<const float> cprob(t.mh_prob.data() + begin, clen);
+      const std::span<const uint16_t> calias(t.mh_alias.data() + begin, clen);
       const double mv = t.mh_word_mass[v];
       const double wmass = mv + beta_mass_;
       // Word-likelihood term of the current topic, kept across the proposal
@@ -493,7 +442,7 @@ void InferenceEngine::FoldInMh(std::span<const uint32_t> words,
             if (j >= i) ++j;  // uniform over the len−1 tokens ≠ i
             prop = s.z[j];
           } else if (asym) {
-            prop = t.alpha_alias->Sample(rng.NextBelow(k_topics),
+            prop = t.alpha_alias.Sample(rng.NextBelow(k_topics),
                                          rng.NextFloat());
           } else {
             prop = rng.NextBelow(k_topics);
@@ -521,7 +470,7 @@ void InferenceEngine::FoldInMh(std::span<const uint32_t> words,
                                                            clen)),
                                                    rng.NextFloat())];
           } else {
-            prop = t.beta_alias->Sample(rng.NextBelow(k_topics),
+            prop = t.beta_alias.Sample(rng.NextBelow(k_topics),
                                         rng.NextFloat());
           }
           if (prop != cur) {
@@ -638,7 +587,7 @@ double InferenceEngine::DocumentCompletionPerplexity(
         scratch[pool != nullptr ? pool->current_worker_id() + 1 : 0];
     const size_t half = tokens.size() / 2;
     FoldIn(tokens.subspan(0, half), iterations, seed + d, s);
-    const Tables& t = CurrentTables();
+    const TableSet& t = CurrentTables();
     const double denom = static_cast<double>(half) + cfg_.AlphaSum();
     double log_prob = 0;
     for (size_t i = half; i < tokens.size(); ++i) {

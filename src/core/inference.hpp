@@ -28,8 +28,9 @@
 // identical double-precision term order, so their topic assignments — and
 // therefore perplexities — are bit-identical; they differ only in per-token
 // cost: kDenseReference recomputes the Q and W masses by a full O(K) scan
-// of the φ column, kSparseBucket reads the cached column mass and walks only
-// the document's nonzero topics.
+// of the word's φ counts (contiguous: the model's φ is word-major),
+// kSparseBucket reads the cached column mass and walks only the document's
+// nonzero topics.
 //
 // The third mode, kAliasMH, is the production O(1)-per-token tier
 // (docs/samplers.md): WarpLDA-class Metropolis–Hastings whose stationary
@@ -100,7 +101,7 @@ struct InferenceOptions {
   /// documents are independent (one Philox stream each) and reductions run
   /// in document order.
   ThreadPool* pool = nullptr;
-  /// Replicate the read-mostly sampling state — φ, the CSC transpose,
+  /// Replicate the read-mostly sampling state — φ, the word columns,
   /// alias tables, the smoothing tree — once per socket domain of `pool`,
   /// each copy built (first-touched) on a worker of its own socket so hot
   /// φ reads stay node-local (docs/parallelism.md). The replicas are exact
@@ -114,9 +115,10 @@ struct InferenceOptions {
 class InferenceEngine {
  public:
   /// `model` must outlive the engine. Precomputes the per-topic inverse
-  /// denominators 1/(n_k + βV), the smoothing-bucket index tree, and a
-  /// CSC-style transpose of φ (per-word topic lists with inclusive
-  /// word-bucket prefix sums) — O(K·V) once, O(nnz(θ_d)) per token after.
+  /// denominators 1/(n_k + βV), the smoothing-bucket index tree, and the
+  /// per-word topic columns of φ (nonzero topics with inclusive word-bucket
+  /// prefix sums, one scan of each word's contiguous counts) — O(K·V) once,
+  /// O(nnz(θ_d)) per token after.
   InferenceEngine(const GatheredModel& model, CuldaConfig cfg,
                   InferenceOptions options = {});
 
@@ -179,49 +181,49 @@ class InferenceEngine {
     std::vector<uint32_t> touched; ///< MH only: topics ever incremented
   };
 
-  /// One socket's view of every read-mostly table the per-token hot path
-  /// touches. The primary view (primary_tables_) points into the engine's
-  /// own members and the model's φ; replica views point into per-socket
-  /// copies. Hot functions take a Tables& so the *same code* runs against
-  /// either — bit-identity between shared and replicated mode is structural,
-  /// not re-proved per call site.
-  struct Tables {
-    const uint16_t* phi = nullptr;  ///< row-major K×V (stride = vocab_size)
-    const uint64_t* col_ptr = nullptr;
-    const uint16_t* col_topic = nullptr;
-    const double* col_prefix = nullptr;
-    const double* word_mass = nullptr;
-    const double* mh_word_mass = nullptr;
-    const float* mh_prob = nullptr;
-    const uint16_t* mh_alias = nullptr;
-    const AliasTable* beta_alias = nullptr;
-    const AliasTable* alpha_alias = nullptr;
-    const uint16_t* phi_t = nullptr;
-    IndexTreeView smooth_tree;
-  };
+  /// Every read-mostly table the per-token hot path touches. The engine
+  /// owns one set (tables_), whose φ is the model's own; with
+  /// numa_replicate each further socket owns a copy that holds its own φ
+  /// (BuildReplicas). Hot functions take a TableSet& so the *same code* runs
+  /// against either — bit-identity between shared and replicated mode is
+  /// structural, not re-proved per call site.
+  struct TableSet {
+    /// Word-major φ (V×K, stride = num_topics): word v's K counts are
+    /// contiguous. Points at the model's φ, or at own_phi in a replica.
+    const uint16_t* phi = nullptr;
+    std::vector<uint16_t> own_phi;  ///< replicas only
 
-  /// One socket's private copy of the read-mostly state (numa_replicate).
-  /// Vectors are copy-assigned on a worker homed on the owning socket, so
-  /// their pages are first-touched — and with pinned workers, placed — on
-  /// that socket's node.
-  struct Replica {
-    std::vector<uint16_t> phi;
+    // Per-word topic columns: for word v, col_topic[col_ptr[v]..
+    // col_ptr[v+1]) are the topics with φ_kv > 0 in ascending order and
+    // col_prefix the inclusive prefix sums of their WordTerm values (exact
+    // samplers only); word_mass[v] is the column total.
     std::vector<uint64_t> col_ptr;
     std::vector<uint16_t> col_topic;
     std::vector<double> col_prefix;
     std::vector<double> word_mass;
-    std::vector<double> mh_word_mass;
-    std::vector<float> mh_prob;
+
+    // kAliasMH proposal state. Word proposals draw from the per-word
+    // mixture q_w(k) ∝ (φ_kv + β)·inv_denom[k], split into a φ-sparse part
+    // — packed alias cells over each word's column, sharing the col_ptr /
+    // col_topic layout — and the shared β-smoothing part (beta_alias over
+    // inv_denom). Doc proposals draw from n_dk + α_k by picking another
+    // token's topic or falling through to the α prior (alpha_alias in the
+    // asymmetric case; uniform otherwise, since a constant-weight alias is
+    // just a uniform pick).
+    std::vector<double> mh_word_mass;  ///< Σ_k φ_kv·inv_denom[k] per word
+    std::vector<float> mh_prob;        ///< packed column alias cells
     std::vector<uint16_t> mh_alias;
-    AliasTable beta_alias;
-    AliasTable alpha_alias;
-    std::vector<uint16_t> phi_t;
+    AliasTable beta_alias;   ///< over inv_denom (smoothing branch)
+    AliasTable alpha_alias;  ///< over α_k (asymmetric priors only)
+
+    // Smoothing bucket: the F-ary index tree (float, cfg.tree_fanout) over
+    // the cached p*(k) terms, which every mode searches through.
     std::vector<float> smooth_storage;
-    Tables tables;
+    IndexTreeView smooth_tree;
   };
 
-  uint16_t PhiAt(const Tables& t, uint32_t k, uint32_t v) const {
-    return t.phi[static_cast<size_t>(k) * model_->vocab_size + v];
+  uint16_t PhiAt(const TableSet& t, uint32_t k, uint32_t v) const {
+    return t.phi[static_cast<size_t>(v) * model_->num_topics + k];
   }
 
   // Shared term definitions — the bucket masses and their in-bucket
@@ -238,11 +240,12 @@ class InferenceEngine {
   void BuildSmoothingTree();
   void BuildWordColumns();
   void BuildAliasTables();
-  /// Builds per-socket Replica copies (numa_replicate; no-op otherwise).
+  /// Builds per-socket TableSet copies (numa_replicate; no-op otherwise).
   void BuildReplicas();
-  /// The table view the calling thread should read: its socket's replica
-  /// when replicas exist, the primary otherwise (and always for socket 0).
-  const Tables& CurrentTables() const;
+  /// The table set the calling thread should read: its socket's replica
+  /// when replicas exist, the engine's own otherwise (and always for socket
+  /// 0).
+  const TableSet& CurrentTables() const;
 
   /// Runs the fold-in sweeps for one document into `s` (counts, nz list,
   /// assignments). `words` must all be in-vocabulary (checked). Reads the
@@ -252,13 +255,13 @@ class InferenceEngine {
   /// The kAliasMH fold-in body (same contract as the exact body above;
   /// called by FoldIn after the shared init).
   void FoldInMh(std::span<const uint32_t> words, uint32_t iterations,
-                PhiloxStream& rng, Scratch& s, const Tables& t) const;
+                PhiloxStream& rng, Scratch& s, const TableSet& t) const;
   /// One conditional draw: picks the bucket from `u` ∈ [0, q+w+S) and the
   /// topic within it. `q`/`w` must be this token's bucket masses.
   uint32_t SampleTopic(uint32_t word, double q, double w, double u,
-                       const Scratch& s, const Tables& t) const;
+                       const Scratch& s, const TableSet& t) const;
   /// Q and W masses for (document state, word) under the configured mode.
-  void BucketMasses(uint32_t word, const Scratch& s, const Tables& t,
+  void BucketMasses(uint32_t word, const Scratch& s, const TableSet& t,
                     double* q, double* w) const;
   void EnsureScratch(Scratch& s) const;
   InferenceResult ResultFromScratch(std::span<const uint32_t> words,
@@ -269,49 +272,16 @@ class InferenceEngine {
   InferenceOptions options_;
   std::vector<double> topic_denom_;  ///< n_k + βV per topic
   std::vector<double> inv_denom_;    ///< 1/(n_k + βV) per topic
+  double smooth_mass_ = 0;  ///< S = Σ_k p*(k), in double
+  double alpha_sum_ = 0;    ///< Σ_k α_k (kAliasMH)
+  double beta_mass_ = 0;    ///< β·Σ_k inv_denom[k] (kAliasMH)
 
-  // Smoothing bucket: cached p*(k) terms, their double mass, and the F-ary
-  // index tree (float, cfg.tree_fanout) both modes search through.
-  double smooth_mass_ = 0;
-  std::vector<float> smooth_storage_;
-  IndexTreeView smooth_tree_;
-
-  // CSC-style transpose of φ: for word v, col_topic_[col_ptr_[v]..
-  // col_ptr_[v+1]) are the topics with φ_kv > 0 in ascending order and
-  // col_prefix_ the inclusive prefix sums of their WordTerm values;
-  // word_mass_[v] is the column total.
-  std::vector<uint64_t> col_ptr_;
-  std::vector<uint16_t> col_topic_;
-  std::vector<double> col_prefix_;
-  std::vector<double> word_mass_;
-
-  // kAliasMH proposal state. Word proposals draw from the per-word mixture
-  //   q_w(k) ∝ (φ_kv + β)·inv_denom[k]
-  // split into a φ-sparse part — packed alias cells over each word's CSC
-  // column, sharing the col_ptr_/col_topic_ layout — and the shared
-  // β-smoothing part (beta_alias_ over inv_denom). Doc proposals draw from
-  // n_dk + α_k by picking another token's topic or falling through to the
-  // α prior (alpha_alias_ in the asymmetric case; uniform otherwise, since
-  // a constant-weight alias is just a uniform pick).
-  double alpha_sum_ = 0;              ///< Σ_k α_k
-  double beta_mass_ = 0;              ///< β·Σ_k inv_denom[k]
-  std::vector<double> mh_word_mass_;  ///< Σ_k φ_kv·inv_denom[k] per word
-  std::vector<float> mh_prob_;        ///< packed column alias cells
-  std::vector<uint16_t> mh_alias_;
-  AliasTable beta_alias_;   ///< over inv_denom (smoothing branch)
-  AliasTable alpha_alias_;  ///< over α_k (asymmetric priors only)
-
-  // kDenseReference only: contiguous transpose of φ (phi_t_[v·K + k]) so
-  // the O(K) column scans run over adjacent memory and the SIMD zero-run
-  // skip applies. Same values read in the same order — bit-identical.
-  std::vector<uint16_t> phi_t_;
-
-  // The primary table view (points into the members above + model φ), and
-  // the optional per-socket copies. replicas_ is either empty (shared mode /
-  // single-socket) or sized pool->socket_count() with entry 0 null — socket
-  // 0 reads the primary, which the builder thread first-touched.
-  Tables primary_tables_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
+  // The engine's own table set, and the optional per-socket copies.
+  // replicas_ is either empty (shared mode / single-socket) or sized
+  // pool->socket_count() with entry 0 null — socket 0 reads tables_, which
+  // the builder thread first-touched.
+  TableSet tables_;
+  std::vector<std::unique_ptr<TableSet>> replicas_;
 };
 
 }  // namespace culda::core

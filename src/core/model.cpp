@@ -7,29 +7,6 @@
 
 namespace culda::core {
 
-PhiMatrix WordMajorPhi::TopicMajor() const {
-  const uint32_t K = num_topics();
-  const uint32_t V = vocab_size();
-  PhiMatrix out(K, V);
-  // Square tiles small enough that a tile's source rows and destination
-  // rows both stay in L1 while it is transposed.
-  constexpr uint32_t kTile = 64;
-  const uint16_t* src = words_.flat().data();
-  for (uint32_t w0 = 0; w0 < V; w0 += kTile) {
-    const uint32_t w1 = std::min(V, w0 + kTile);
-    for (uint32_t k0 = 0; k0 < K; k0 += kTile) {
-      const uint32_t k1 = std::min(K, k0 + kTile);
-      for (uint32_t k = k0; k < k1; ++k) {
-        uint16_t* dst = out.Row(k).data();
-        for (uint32_t w = w0; w < w1; ++w) {
-          dst[w] = src[static_cast<size_t>(w) * K + k];
-        }
-      }
-    }
-  }
-  return out;
-}
-
 void PhiReplica::Clear() {
   phi.Fill(0);
   std::fill(nk.begin(), nk.end(), 0);
@@ -112,7 +89,7 @@ void GatheredModel::Validate(const corpus::Corpus& corpus) const {
   uint64_t grand = 0;
   for (uint32_t k = 0; k < num_topics; ++k) {
     uint64_t sum = 0;
-    for (const uint16_t c : phi.Row(k)) sum += c;
+    for (uint32_t v = 0; v < vocab_size; ++v) sum += phi(k, v);
     CULDA_CHECK_MSG(sum == static_cast<uint64_t>(nk[k]),
                     "n_k[" << k << "] = " << nk[k] << " but φ row sums to "
                            << sum);

@@ -7,9 +7,10 @@
 //
 // Data representations follow Section 6.1.3: θ is CSR with 16-bit topic
 // indices; φ is a dense K×V matrix of 16-bit counts; per-topic totals
-// n_k = Σ_v φ_kv are 32-bit (they exceed 2^16 on any real corpus). The
-// simulator's host copies of φ are stored word-major (WordMajorPhi below);
-// the billed device model is still the dense K×V one.
+// n_k = Σ_v φ_kv are 32-bit (they exceed 2^16 on any real corpus). Every
+// host copy of φ — the trainers' replicas, the gathered model, the served
+// model — is stored word-major (WordMajorPhi below); the billed device model
+// is still the dense K×V one, and the model file keeps its topic-major bytes.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@ class ThreadPool;
 namespace culda::core {
 
 using ThetaMatrix = sparse::CsrMatrix<uint16_t, int32_t>;
-using PhiMatrix = sparse::DenseMatrix<uint16_t>;
 
 /// Host-resident state of one corpus chunk: the word-first token layout, the
 /// per-block work list, the current topic assignment z, and the chunk's θ
@@ -53,15 +53,18 @@ struct ChunkState {
   }
 };
 
-/// The 16-bit φ counts of a device replica, stored word-major (V×K) on the
-/// host. Every kernel visits φ one word at a time — the sampling kernels'
+/// The 16-bit φ counts, stored word-major (V×K) on the host — the one φ
+/// layout from a device replica through the gathered model to the serving
+/// engine. Every kernel visits φ one word at a time — the sampling kernels'
 /// per-block p* pass, a word-first block's update_phi atomics, word-range
-/// shard copies — so keeping a word's K topic counts contiguous turns each
-/// strided K-element gather into one contiguous read (WarpLDA's locality
-/// argument for visiting φ word by word). The layout is a host detail:
-/// kernels still bill the paper's dense K×V device matrix, and gathered
-/// models are topic-major PhiMatrix (TopicMajor). Deliberately not a
-/// DenseMatrix, so topic-major Row(k) access does not compile.
+/// shard copies — and so do the engine's word columns, so keeping a word's
+/// K topic counts contiguous turns each strided K-element gather into one
+/// contiguous read (WarpLDA's locality argument for visiting φ word by
+/// word). The layout is a host detail: kernels still bill the paper's dense
+/// K×V device matrix, and the model file stores φ topic-major (model_io
+/// transposes at the file boundary). Deliberately not a DenseMatrix, so
+/// topic-major Row(k) access does not compile; cold readers that want a
+/// topic's counts go through operator()(k, w).
 class WordMajorPhi {
  public:
   WordMajorPhi() = default;
@@ -97,9 +100,6 @@ class WordMajorPhi {
 
   void Fill(uint16_t v) { words_.Fill(v); }
 
-  /// The whole matrix, topic-major (a cache-blocked transpose).
-  PhiMatrix TopicMajor() const;
-
  private:
   sparse::DenseMatrix<uint16_t> words_;  ///< V×K
 };
@@ -133,13 +133,14 @@ struct PhiReplica {
 void CheckWordFrequenciesFitPhi(const corpus::Corpus& corpus);
 
 /// The full trained model gathered back to the host (Algorithm 1 lines
-/// 17–20): θ over all documents plus the synchronized φ.
+/// 17–20): θ over all documents plus the synchronized φ, in the trainers'
+/// own word-major layout, so a gather copies the read model's φ as is.
 struct GatheredModel {
   uint32_t num_topics = 0;
   uint32_t vocab_size = 0;
   uint64_t num_docs = 0;
   ThetaMatrix theta;  ///< rows = all documents, in corpus order
-  PhiMatrix phi;
+  WordMajorPhi phi;
   std::vector<int32_t> nk;
 
   /// Consistency invariants: Σ_k θ_dk = len_d for every d, Σ_v φ_kv = n_k,

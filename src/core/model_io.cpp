@@ -1,5 +1,6 @@
 #include "core/model_io.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
+#include "util/simd.hpp"
 
 namespace culda::core {
 
@@ -24,14 +26,47 @@ constexpr uint32_t kVersion = 2;
 // claiming more topics is corrupt by construction.
 constexpr uint64_t kMaxTopics = 1ull << 16;
 
+/// Writes cells [first, first + piece.size() / 2) of φ in the file's
+/// topic-major order — cell k·V + v is φ(k, v) — into `piece`. The file's φ
+/// is mostly zeros, so the piece is cleared and only nonzero counts are
+/// copied in, in one pass over every word's contiguous slice of the topics
+/// the piece covers.
+void FillFilePiece(const WordMajorPhi& phi, uint64_t first,
+                   std::span<char> piece) {
+  const uint64_t V = phi.vocab_size();
+  const uint64_t end = first + piece.size() / sizeof(uint16_t);
+  std::memset(piece.data(), 0, piece.size());
+  std::vector<uint32_t> nonzero(phi.num_topics());
+  for (uint64_t v = 0; v < V; ++v) {
+    // The topics k with first <= k·V + v < end.
+    const uint64_t k_begin = first / V + (v < first % V);
+    const uint64_t k_end = end / V + (v < end % V);
+    if (k_begin >= k_end) continue;
+    const uint16_t* counts = phi.Word(v).data() + k_begin;
+    const size_t n =
+        simd::NonZeroIndicesU16(counts, k_end - k_begin, nonzero.data());
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t cell = (k_begin + nonzero[i]) * V + v - first;
+      std::memcpy(piece.data() + cell * sizeof(uint16_t),
+                  &counts[nonzero[i]], sizeof(uint16_t));
+    }
+  }
+}
+
 }  // namespace
 
 void SaveModel(const GatheredModel& model, std::ostream& out) {
   CULDA_OBS_SPAN("model_io/save");
   CULDA_OBS_TIMED("model_io.save_s");
   model.theta.Validate();
-  // The writer holds θ, φ and n_k by reference and streams them straight
-  // from the model through one running CRC.
+  // The writer holds θ and n_k by reference and streams them straight from
+  // the model through one running CRC. φ is word-major in memory and
+  // topic-major in the file, so it is transposed piece by piece as it is
+  // written.
+  const io::ContainerWriter::PieceFill phi_pieces =
+      [&](size_t offset, std::span<char> piece) {
+        FillFilePiece(model.phi, offset / sizeof(uint16_t), piece);
+      };
   io::ContainerWriter w;
   w.WritePod(model.num_topics);
   w.WritePod(model.vocab_size);
@@ -40,7 +75,7 @@ void SaveModel(const GatheredModel& model, std::ostream& out) {
   w.WriteSpan(model.theta.row_ptr());
   w.WriteSpan(model.theta.col_idx());
   w.WriteSpan(model.theta.values());
-  w.WriteSpan(model.phi.flat());
+  w.WriteGenerated(model.phi.flat().size_bytes(), phi_pieces);
   w.WriteSpan(model.nk);
   w.Finish(out, kMagic, kVersion);
   CULDA_CHECK_MSG(out.good(), "failed writing model");
@@ -92,18 +127,28 @@ GatheredModel LoadModel(std::istream& in) {
                             std::move(val));
 
   // K ≤ 2^16 and V < 2^32, so the element count cannot overflow u64; its
-  // byte bound is checked before φ is allocated. φ is then copied from the
-  // payload straight into place, one topic row at a time, and each row is
-  // summed while it is still in cache for the n_k check below.
-  r.RequireElements<uint16_t>(static_cast<uint64_t>(model.num_topics) *
-                              model.vocab_size);
-  model.phi = PhiMatrix(model.num_topics, model.vocab_size);
-  std::vector<int64_t> row_sums(model.num_topics);
-  for (uint32_t k = 0; k < model.num_topics; ++k) {
-    const std::span<uint16_t> row = model.phi.Row(k);
-    r.ReadInto(row);
+  // byte bound is checked before φ is allocated. The file's φ is
+  // topic-major and the model's word-major: each topic row is copied from
+  // the payload into one reused buffer, and only its nonzero counts — a few
+  // percent of the cells — are summed for the n_k check below and put into
+  // their words.
+  const uint64_t K = model.num_topics;
+  const uint64_t V = model.vocab_size;
+  r.RequireElements<uint16_t>(K * V);
+  model.phi = WordMajorPhi(model.num_topics, model.vocab_size);
+  uint16_t* cells = model.phi.flat().data();
+  std::vector<uint16_t> row(V);
+  std::vector<uint32_t> nonzero(V);
+  std::vector<int64_t> row_sums(K);
+  for (uint64_t k = 0; k < K; ++k) {
+    r.ReadInto(std::span<uint16_t>(row));
+    const size_t n = simd::NonZeroIndicesU16(row.data(), V, nonzero.data());
     int64_t sum = 0;
-    for (const uint16_t c : row) sum += c;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t v = nonzero[i];
+      sum += row[v];
+      cells[v * K + k] = row[v];
+    }
     row_sums[k] = sum;
   }
   model.nk = r.ReadVector<int32_t>(model.num_topics);

@@ -5,7 +5,8 @@
 // with payload
 //   u32 K, u32 V, u64 D,
 //   θ as CSR  (u64 nnz, D+1 × u64 row_ptr, nnz × u16 col, nnz × i32 val),
-//   φ dense   (K×V × u16),
+//   φ dense   (K×V × u16, topic-major: the in-memory model is word-major,
+//              so SaveModel and LoadModel transpose at this boundary),
 //   n_k       (K × i32).
 // Loads verify the declared length and CRC32 before parsing, validate every
 // section count against the bytes actually present before allocating, and

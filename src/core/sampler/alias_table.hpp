@@ -16,7 +16,7 @@
 //     refreshes over every word allocate nothing after warm-up.
 //   * a flat-storage build variant writes into caller-provided spans, which
 //     is how the serving engine packs one table per φ column into two flat
-//     arrays aligned with its CSC transpose.
+//     arrays aligned with its per-word topic columns.
 //
 // Stale-table sampling with an MH correction — or refresh-per-word without
 // one — are the standard LightLDA/WarpLDA/SaberLDA constructions; see

@@ -13,12 +13,10 @@ std::vector<TopicWord> TopWords(const GatheredModel& model,
                                 const CuldaConfig& cfg, uint32_t k,
                                 size_t n) {
   CULDA_CHECK(k < model.num_topics);
-  const auto row = model.phi.Row(k);
   std::vector<TopicWord> words;
   for (uint32_t v = 0; v < model.vocab_size; ++v) {
-    if (row[v] > 0) {
-      words.push_back({v, row[v], 0.0});
-    }
+    const uint16_t c = model.phi(k, v);
+    if (c > 0) words.push_back({v, c, 0.0});
   }
   const size_t keep = std::min(n, words.size());
   std::partial_sort(words.begin(), words.begin() + keep, words.end(),

@@ -441,7 +441,7 @@ GatheredModel CuldaTrainer::Gather() const {
   }
   builder.Finish();
 
-  model.phi = model_.phi.TopicMajor();
+  model.phi = model_.phi;
   model.nk = model_.nk;
   return model;
 }

@@ -221,7 +221,7 @@ GatheredModel WordPartitionTrainer::Gather() const {
   model.vocab_size = corpus_->vocab_size();
   model.num_docs = corpus_->num_docs();
   model.theta = theta_global_;
-  model.phi = model_.phi.TopicMajor();
+  model.phi = model_.phi;
   model.nk = model_.nk;
   return model;
 }

@@ -480,10 +480,10 @@ core::GatheredModel ClusterTrainer::Gather() const {
   }
   builder.Finish();
   if (opts_.mode == DistMode::kAsync) {
-    model.phi = canonical_.phi.TopicMajor();
+    model.phi = canonical_.phi;
     model.nk = canonical_.nk;
   } else {
-    model.phi = model_.phi.TopicMajor();
+    model.phi = model_.phi;
     model.nk = model_.nk;
   }
   return model;

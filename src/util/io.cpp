@@ -101,6 +101,11 @@ void ContainerWriter::Record(const char* data, size_t size) {
   }
 }
 
+void ContainerWriter::WriteGenerated(size_t size, const PieceFill& fill) {
+  payload_size_ += size;
+  if (size > 0) sections_.push_back({nullptr, 0, size, &fill});
+}
+
 void ContainerWriter::Finish(std::ostream& out, const char (&magic)[8],
                              uint32_t version) const {
   char header[12];
@@ -110,14 +115,24 @@ void ContainerWriter::Finish(std::ostream& out, const char (&magic)[8],
   out.write(magic, 8);
   out.write(header, sizeof(header));
   uint32_t crc = Crc32({header, sizeof(header)});
+  std::vector<char> piece;  // generated sections' one reused buffer
   for (const Section& s : sections_) {
-    const char* p = s.data != nullptr ? s.data : pods_.data() + s.pod_offset;
     // Checksum each chunk just before writing it, while it is cache-hot.
     for (size_t done = 0; done < s.size;) {
       const size_t step = static_cast<size_t>(
           std::min<uint64_t>(kIoPieceBytes, s.size - done));
-      crc = Crc32({p + done, step}, crc);
-      out.write(p + done, static_cast<std::streamsize>(step));
+      const char* chunk;
+      if (s.fill != nullptr) {
+        piece.resize(step);
+        (*s.fill)(done, piece);
+        chunk = piece.data();
+      } else if (s.data != nullptr) {
+        chunk = s.data + done;
+      } else {
+        chunk = pods_.data() + s.pod_offset + done;
+      }
+      crc = Crc32({chunk, step}, crc);
+      out.write(chunk, static_cast<std::streamsize>(step));
       done += step;
     }
   }

@@ -49,12 +49,13 @@ inline constexpr uint64_t kIoPieceBytes = 1 << 20;
 // ---------------------------------------------------------------- container
 
 /// Payload builder for the container frame. Sections are recorded with
-/// WritePod/WriteSpan and emitted as one framed blob by Finish, which knows
-/// the exact payload length up front (so the header carries it without a
-/// seekable output stream) and streams header, sections and trailer through
-/// one running CRC. PODs are copied into a small owned buffer; spans are
-/// held by reference and must outlive Finish, which every caller calls in
-/// the scope that recorded them — the payload is never copied as a whole.
+/// WritePod/WriteSpan/WriteGenerated and emitted as one framed blob by
+/// Finish, which knows the exact payload length up front (so the header
+/// carries it without a seekable output stream) and streams header,
+/// sections and trailer through one running CRC. PODs are copied into a
+/// small owned buffer; spans and generators are held by reference and must
+/// outlive Finish, which every caller calls in the scope that recorded them
+/// — the payload is never copied as a whole.
 class ContainerWriter {
  public:
   template <typename T>
@@ -79,6 +80,16 @@ class ContainerWriter {
   template <typename T>
   void WriteSpan(std::vector<T>&& data) = delete;
 
+  /// Fills `piece` with the section's bytes starting at byte `offset`.
+  using PieceFill = std::function<void(size_t offset, std::span<char> piece)>;
+
+  /// A section of `size` bytes produced while Finish streams it, in
+  /// consecutive pieces of at most kIoPieceBytes through one reused buffer:
+  /// for data stored in another layout than the one it is written in, so
+  /// the written form never exists whole in memory.
+  void WriteGenerated(size_t size, const PieceFill& fill);
+  void WriteGenerated(size_t size, PieceFill&& fill) = delete;
+
   size_t payload_size() const { return payload_size_; }
 
   /// Writes magic | version | size | payload | crc to `out`. Throws
@@ -87,12 +98,14 @@ class ContainerWriter {
               uint32_t version) const;
 
  private:
-  /// A run of payload bytes: `size` bytes at `data`, or — when `data` is
-  /// null — at `pod_offset` in pods_ (an offset, since pods_ may grow).
+  /// A run of payload bytes: `size` bytes at `data`, made by `fill`, or —
+  /// when both are null — at `pod_offset` in pods_ (an offset, since pods_
+  /// may grow).
   struct Section {
     const char* data;
     size_t pod_offset;
     size_t size;
+    const PieceFill* fill = nullptr;
   };
 
   void Record(const char* data, size_t size);

@@ -4,7 +4,7 @@
 // Everything here is bit-identical to the scalar path *by construction*:
 // the batched variants only (a) skip 32-byte blocks that contribute nothing
 // (zero-run skipping — the surviving elements are processed in the original
-// order by the original scalar expressions), (b) count nonzeros with integer
+// order by the original scalar expressions), (b) list nonzeros with integer
 // arithmetic (exact), or (c) apply the same single float/double operation
 // element-wise (no reassociation, no FMA contraction is introduced — each
 // lane computes exactly the scalar expression). That is what lets every
@@ -42,8 +42,6 @@ inline std::atomic<bool>& EnabledFlag() {
 }
 
 typedef uint64_t U64x4 __attribute__((vector_size(32)));
-typedef int16_t I16x8 __attribute__((vector_size(16)));
-typedef int32_t I32x8 __attribute__((vector_size(32)));
 typedef float F32x8 __attribute__((vector_size(32)));
 typedef double F64x4 __attribute__((vector_size(32)));
 
@@ -95,6 +93,31 @@ inline size_t NextNonZeroU16(const uint16_t* p, size_t n, size_t from) {
                    : NextNonZeroU16Scalar(p, n, from);
 }
 
+/// Writes every i in [0, n) with p[i] != 0 to `out`, ascending, and returns
+/// how many there are; `out` must hold n entries. All-zero 32-byte blocks
+/// are skipped and the rest compacted without a branch per element, so a
+/// mostly-zero array costs no mispredicted branch per nonzero — the φ
+/// transposes at the model-file boundary and the engine's word columns scan
+/// counts that are a few percent nonzero. Finding nonzero integers is
+/// exact, so every build takes this path, whatever Enabled() selects.
+inline size_t NonZeroIndicesU16(const uint16_t* p, size_t n, uint32_t* out) {
+  constexpr size_t kLanes = 16;  // 16 × u16 = 32 bytes
+  size_t count = 0;
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    if (!detail::AnyNonZero32(p + i)) continue;
+    for (size_t j = i; j < i + kLanes; ++j) {
+      out[count] = static_cast<uint32_t>(j);
+      count += p[j] != 0;
+    }
+  }
+  for (; i < n; ++i) {
+    out[count] = static_cast<uint32_t>(i);
+    count += p[i] != 0;
+  }
+  return count;
+}
+
 /// First index >= `from` with p[idx] != 0, else n.
 inline size_t NextNonZeroI32Scalar(const int32_t* p, size_t n, size_t from) {
   for (size_t i = from; i < n; ++i) {
@@ -120,42 +143,6 @@ inline size_t NextNonZeroI32Simd(const int32_t* p, size_t n, size_t from) {
 inline size_t NextNonZeroI32(const int32_t* p, size_t n, size_t from) {
   return Enabled() ? NextNonZeroI32Simd(p, n, from)
                    : NextNonZeroI32Scalar(p, n, from);
-}
-
-// ---- Nonzero counting (integer, exact) --------------------------------------
-
-/// acc[i] += (row[i] != 0) for i in [0, n) — the φ-transpose column-sizing
-/// pass.
-inline void AccumulateNonZeroU16Scalar(const uint16_t* row, int32_t* acc,
-                                       size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (row[i] != 0) ++acc[i];
-  }
-}
-
-inline void AccumulateNonZeroU16Simd(const uint16_t* row, int32_t* acc,
-                                     size_t n) {
-  constexpr size_t kLanes = 8;  // widen u16 → i32, 8 lanes per step
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    detail::I16x8 v;
-    std::memcpy(&v, row + i, sizeof(v));
-    const detail::I16x8 mask = v != detail::I16x8{};  // −1 where nonzero
-    const detail::I32x8 wide = __builtin_convertvector(mask, detail::I32x8);
-    detail::I32x8 a;
-    std::memcpy(&a, acc + i, sizeof(a));
-    a -= wide;
-    std::memcpy(acc + i, &a, sizeof(a));
-  }
-  AccumulateNonZeroU16Scalar(row + i, acc + i, n - i);
-}
-
-inline void AccumulateNonZeroU16(const uint16_t* row, int32_t* acc, size_t n) {
-  if (Enabled()) {
-    AccumulateNonZeroU16Simd(row, acc, n);
-  } else {
-    AccumulateNonZeroU16Scalar(row, acc, n);
-  }
 }
 
 // ---- Element-wise float ops (no reassociation) ------------------------------

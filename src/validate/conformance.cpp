@@ -127,11 +127,11 @@ void CheckTrainerRebuild(const corpus::Corpus& corpus,
       Fail("conformance-trainer-rebuild", kSolver, os.str());
     }
     const auto rebuilt = nw.Row(k);
-    const auto gathered = model.phi.Row(k);
     for (size_t v = 0; v < rebuilt.size(); ++v) {
-      if (static_cast<int64_t>(gathered[v]) != rebuilt[v]) {
+      const uint16_t gathered = model.phi(k, v);
+      if (static_cast<int64_t>(gathered) != rebuilt[v]) {
         std::ostringstream os;
-        os << "phi(" << k << ", " << v << ") gathered as " << gathered[v]
+        os << "phi(" << k << ", " << v << ") gathered as " << gathered
            << " but assignments rebuild " << rebuilt[v];
         Fail("conformance-trainer-rebuild", kSolver, os.str());
       }

@@ -24,10 +24,8 @@ std::string Cell(uint32_t k, uint32_t v) {
   return os.str();
 }
 
-/// nk-matches-phi over any φ layout indexed as phi(k, v): the device
-/// replicas (word-major) and a served model (topic-major) share it.
-template <typename Phi>
-void CheckNkMatchesCounts(const Phi& phi, uint32_t num_topics,
+/// nk-matches-phi, shared by the device replicas and a served model.
+void CheckNkMatchesCounts(const core::WordMajorPhi& phi, uint32_t num_topics,
                           uint32_t vocab_size, std::span<const int32_t> nk,
                           std::string_view context) {
   if (nk.size() != num_topics) {
@@ -301,10 +299,10 @@ void ValidateServedModel(const core::GatheredModel& model) {
            "θ stores a non-positive count " + std::to_string(c));
     }
   }
-  if (model.phi.rows() != model.num_topics ||
-      model.phi.cols() != model.vocab_size) {
+  if (model.phi.num_topics() != model.num_topics ||
+      model.phi.vocab_size() != model.vocab_size) {
     std::ostringstream os;
-    os << "φ is " << model.phi.rows() << "×" << model.phi.cols()
+    os << "φ is " << model.phi.num_topics() << "×" << model.phi.vocab_size()
        << " but the model declares K = " << model.num_topics << ", V = "
        << model.vocab_size;
     Fail("model-consistency", {}, os.str());

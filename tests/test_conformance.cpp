@@ -130,7 +130,7 @@ core::GatheredModel TinyModel(uint32_t k_topics = 12, uint32_t vocab = 6) {
   model.vocab_size = vocab;
   model.num_docs = 0;
   model.theta = core::ThetaMatrix(0, k_topics);
-  model.phi = core::PhiMatrix(k_topics, vocab);
+  model.phi = core::WordMajorPhi(k_topics, vocab);
   for (uint32_t k = 0; k < k_topics; ++k) {
     for (uint32_t v = 0; v < vocab; ++v) {
       // Word 2 concentrated on low topics, word 3 absent from half of them.

@@ -33,7 +33,7 @@ GatheredModel ModelFromDense(const std::vector<std::vector<int32_t>>& theta,
     b.AppendRow(d, idx, val);
   }
   b.Finish();
-  m.phi = PhiMatrix(m.num_topics, m.vocab_size);
+  m.phi = WordMajorPhi(m.num_topics, m.vocab_size);
   m.nk.assign(m.num_topics, 0);
   for (size_t k = 0; k < phi.size(); ++k) {
     for (size_t v = 0; v < phi[k].size(); ++v) {
@@ -165,7 +165,7 @@ TEST(Evaluator, EmptyModelRejected) {
   m.num_topics = 2;
   m.vocab_size = 2;
   m.theta = ThetaMatrix(0, 2);
-  m.phi = PhiMatrix(2, 2);
+  m.phi = WordMajorPhi(2, 2);
   m.nk = {0, 0};
   CuldaConfig cfg;
   cfg.num_topics = 2;

@@ -146,7 +146,7 @@ TEST(AsymmetricAlpha, InferenceRespectsPrior) {
   const int32_t v0[] = {1};
   b.AppendRow(0, i0, v0);
   b.Finish();
-  m.phi = core::PhiMatrix(2, 4);
+  m.phi = core::WordMajorPhi(2, 4);
   m.nk = {0, 0};
   for (uint32_t v = 0; v < 4; ++v) {
     m.phi(0, v) = 10;

@@ -109,8 +109,14 @@ void HashGroup(Fnv1a& h, const gpusim::DeviceGroup& group) {
 }
 
 void HashModel(Digest& d, const GatheredModel& m) {
+  // φ is hashed in topic-major order (the model file's), through the
+  // accessor, whatever the in-memory layout.
   Fnv1a phi;
-  phi.Span(m.phi.flat());
+  std::vector<uint16_t> row(m.vocab_size);
+  for (uint32_t k = 0; k < m.num_topics; ++k) {
+    for (uint32_t v = 0; v < m.vocab_size; ++v) row[v] = m.phi(k, v);
+    phi.Span(std::span<const uint16_t>(row));
+  }
   phi.Span(std::span<const int32_t>(m.nk));
   d.phi = phi.value();
   Fnv1a theta;

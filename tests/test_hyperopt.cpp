@@ -84,7 +84,7 @@ GatheredModel SyntheticThetaModel(double alpha_true, uint32_t k_topics,
     b.AppendRow(d, idx, val);
   }
   b.Finish();
-  m.phi = PhiMatrix(k_topics, 2);
+  m.phi = WordMajorPhi(k_topics, 2);
   m.nk.assign(k_topics, 0);
   return m;
 }

@@ -27,7 +27,7 @@ GatheredModel SeparatedModel(uint32_t vocab = 40, uint16_t per_word = 100) {
   const int32_t val[] = {1, 1};
   b.AppendRow(0, idx, val);
   b.Finish();
-  m.phi = PhiMatrix(2, vocab);
+  m.phi = WordMajorPhi(2, vocab);
   m.nk = {0, 0};
   for (uint32_t v = 0; v < vocab; ++v) {
     const uint32_t k = v < vocab / 2 ? 0 : 1;

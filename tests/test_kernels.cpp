@@ -53,8 +53,8 @@ struct Fixture {
   }
 
   /// Reference φ built directly from (z, word) pairs.
-  PhiMatrix ReferencePhi() const {
-    PhiMatrix ref(cfg.num_topics, corpus.vocab_size());
+  sparse::DenseMatrix<uint16_t> ReferencePhi() const {
+    sparse::DenseMatrix<uint16_t> ref(cfg.num_topics, corpus.vocab_size());
     for (uint64_t t = 0; t < chunk.z.size(); ++t) {
       ++ref(chunk.z[t], chunk.layout.token_word[t]);
     }
@@ -66,7 +66,7 @@ struct Fixture {
 
 TEST(UpdatePhi, MatchesReferenceCounts) {
   Fixture f;
-  const PhiMatrix ref = f.ReferencePhi();
+  const sparse::DenseMatrix<uint16_t> ref = f.ReferencePhi();
   for (uint32_t k = 0; k < f.cfg.num_topics; ++k) {
     for (uint32_t v = 0; v < f.corpus.vocab_size(); ++v) {
       ASSERT_EQ(f.replica.phi(k, v), ref(k, v)) << k << "," << v;

@@ -155,7 +155,7 @@ core::GatheredModel EdgeModel(uint32_t k_topics = 8, uint32_t vocab = 10) {
   m.vocab_size = vocab;
   m.num_docs = 0;
   m.theta = core::ThetaMatrix(0, k_topics);
-  m.phi = core::PhiMatrix(k_topics, vocab);
+  m.phi = core::WordMajorPhi(k_topics, vocab);
   for (uint32_t v = 1; v + 1 < vocab; ++v) {
     for (uint32_t k = 0; k < k_topics; ++k) {
       m.phi(k, v) = static_cast<uint16_t>(1 + (k * 5 + v) % 9);
@@ -312,25 +312,26 @@ TEST(Simd, NextNonZeroMatchesScalar) {
                 simd::NextNonZeroI32Scalar(i32.data(), n, from))
           << "n=" << n << " from=" << from;
     }
+    std::vector<uint32_t> want;
+    for (size_t i = simd::NextNonZeroU16Scalar(u16.data(), n, 0); i < n;
+         i = simd::NextNonZeroU16Scalar(u16.data(), n, i + 1)) {
+      want.push_back(static_cast<uint32_t>(i));
+    }
+    std::vector<uint32_t> got(n);
+    got.resize(simd::NonZeroIndicesU16(u16.data(), n, got.data()));
+    EXPECT_EQ(got, want) << "n=" << n;
   }
 }
 
-TEST(Simd, AccumulateAndScaleMatchScalar) {
+TEST(Simd, ScaleMatchesScalar) {
   PhiloxStream rng(6, 0);
   for (const size_t n : {0ul, 1ul, 7ul, 32ul, 100ul, 513ul}) {
-    std::vector<uint16_t> u16(n);
     std::vector<float> f32(n);
     std::vector<double> f64(n);
     for (size_t i = 0; i < n; ++i) {
-      u16[i] = static_cast<uint16_t>(rng.NextBelow(3));
       f32[i] = rng.NextFloat();
       f64[i] = rng.NextDouble();
     }
-    std::vector<int32_t> acc_a(n + 1, 3), acc_b(n + 1, 3);
-    simd::AccumulateNonZeroU16Simd(u16.data(), acc_a.data(), n);
-    simd::AccumulateNonZeroU16Scalar(u16.data(), acc_b.data(), n);
-    EXPECT_EQ(acc_a, acc_b) << "n=" << n;
-
     std::vector<float> out_a(n), out_b(n);
     simd::ScaleF32Simd(f32.data(), 1.25f, out_a.data(), n);
     simd::ScaleF32Scalar(f32.data(), 1.25f, out_b.data(), n);

@@ -28,7 +28,7 @@ GatheredModel TinyModel() {
     b.AppendRow(1, i1, v1);
   }
   b.Finish();
-  m.phi = PhiMatrix(2, 3);
+  m.phi = WordMajorPhi(2, 3);
   m.phi(0, 0) = 5;
   m.phi(0, 1) = 2;
   m.phi(1, 2) = 4;

@@ -477,7 +477,8 @@ TEST(PlacementDeterminism, ReplicatedEngineBitIdenticalToShared) {
   ASSERT_EQ(pool.socket_count(), 2u);
 
   for (const auto sampler :
-       {core::InferSampler::kSparseBucket, core::InferSampler::kAliasMH}) {
+       {core::InferSampler::kSparseBucket, core::InferSampler::kAliasMH,
+        core::InferSampler::kDenseReference}) {
     core::InferenceOptions sequential;
     sequential.sampler = sampler;
     core::InferenceOptions shared = sequential;
