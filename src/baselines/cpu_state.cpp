@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "core/training_state.hpp"
 #include "util/check.hpp"
-#include "util/philox.hpp"
 
 namespace culda::baselines {
 
@@ -21,9 +21,9 @@ void CpuLdaState::Initialize(const corpus::Corpus& c, uint32_t k_topics,
   nw = sparse::DenseMatrix<int32_t>(num_topics, c.vocab_size());
   nk.assign(num_topics, 0);
 
+  // z is in corpus token order, so token t is global token t.
   for (uint64_t t = 0; t < c.num_tokens(); ++t) {
-    PhiloxStream rng(seed, t);
-    z[t] = static_cast<uint16_t>(rng.NextBelow(num_topics));
+    z[t] = core::InitialTopic(seed, t, num_topics);
   }
   for (size_t d = 0; d < c.num_docs(); ++d) {
     const auto tokens = c.DocTokens(d);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/training_state.hpp"
 #include "corpus/chunking.hpp"
 #include "util/philox.hpp"
 
@@ -26,8 +27,8 @@ FPlusLda::FPlusLda(const corpus::Corpus& corpus,
   doc_topics_.resize(corpus.num_docs());
 
   for (uint64_t t = 0; t < z_.size(); ++t) {
-    PhiloxStream rng(cfg_.seed, layout_.token_global[t]);
-    const uint16_t k = static_cast<uint16_t>(rng.NextBelow(k_topics));
+    const uint16_t k =
+        core::InitialTopic(cfg_.seed, layout_.token_global[t], k_topics);
     z_[t] = k;
     const uint32_t d = layout_.token_doc[t];
     ++nd_(d, k);

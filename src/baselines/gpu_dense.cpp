@@ -4,7 +4,6 @@
 
 #include "core/evaluator.hpp"
 #include "core/kernels.hpp"
-#include "corpus/chunking.hpp"
 #include "util/philox.hpp"
 
 namespace culda::baselines {
@@ -99,22 +98,12 @@ GpuDenseLda::GpuDenseLda(const corpus::Corpus& corpus,
 
   device_ = std::make_unique<gpusim::Device>(std::move(spec), 0, pool);
 
-  const auto specs = corpus::PartitionByTokens(corpus, 1);
-  chunk_.layout = corpus::BuildWordFirstChunk(corpus, specs[0]);
-  chunk_.work =
-      corpus::BuildBlockWorkList(chunk_.layout, cfg_.max_tokens_per_block);
-  chunk_.z.resize(chunk_.layout.num_tokens());
-  for (uint64_t t = 0; t < chunk_.z.size(); ++t) {
-    PhiloxStream rng(cfg_.seed, t);
-    chunk_.z[t] = static_cast<uint16_t>(rng.NextBelow(cfg_.num_topics));
-  }
-  chunk_.theta = core::ThetaMatrix(chunk_.layout.num_docs(), cfg_.num_topics);
-
-  model_ = core::PhiReplica(cfg_.num_topics, corpus.vocab_size());
-  accum_ = core::PhiReplica(cfg_.num_topics, corpus.vocab_size());
-  RunUpdatePhiKernel(*device_, cfg_, chunk_, model_);
-  RunUpdateThetaKernel(*device_, cfg_, chunk_);
-  RunComputeNkKernel(*device_, cfg_, model_);
+  // The whole corpus as one chunk, seeded as CuldaTrainer seeds it.
+  state_ = core::TrainingState::ByDocuments(corpus, cfg_, 1, pool);
+  core::ChunkState& chunk = state_.chunks.front();
+  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.model);
+  RunUpdateThetaKernel(*device_, cfg_, chunk);
+  RunComputeNkKernel(*device_, cfg_, state_.model);
   device_->ResetTime();
   device_->ResetProfile();
 }
@@ -122,26 +111,16 @@ GpuDenseLda::GpuDenseLda(const corpus::Corpus& corpus,
 void GpuDenseLda::Step() {
   const double t0 = device_->Now();
   ++iteration_;
-  RunDenseSamplingKernel(*device_, cfg_, chunk_, model_, iteration_);
-  RunZeroPhiKernel(*device_, cfg_, accum_);
-  RunUpdatePhiKernel(*device_, cfg_, chunk_, accum_);
-  RunUpdateThetaKernel(*device_, cfg_, chunk_);
-  RunComputeNkKernel(*device_, cfg_, accum_);
-  std::swap(model_, accum_);
+  core::ChunkState& chunk = state_.chunks.front();
+  RunDenseSamplingKernel(*device_, cfg_, chunk, state_.model, iteration_);
+  RunZeroPhiKernel(*device_, cfg_, state_.accum);
+  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.accum);
+  RunUpdateThetaKernel(*device_, cfg_, chunk);
+  RunComputeNkKernel(*device_, cfg_, state_.accum);
+  std::swap(state_.model, state_.accum);
   device_->Synchronize();
   last_tokens_per_sec_ =
       static_cast<double>(corpus_->num_tokens()) / (device_->Now() - t0);
-}
-
-core::GatheredModel GpuDenseLda::Gather() const {
-  core::GatheredModel m;
-  m.num_topics = cfg_.num_topics;
-  m.vocab_size = corpus_->vocab_size();
-  m.num_docs = corpus_->num_docs();
-  m.theta = chunk_.theta;
-  m.phi = model_.phi;
-  m.nk = model_.nk;
-  return m;
 }
 
 double GpuDenseLda::LogLikelihoodPerToken() const {

@@ -9,8 +9,10 @@
 //   * 32-bit values everywhere (no precision compression),
 //   * no shared-memory reuse of p* or the p2 tree, no L1 routing,
 //   * single GPU only.
-// Same delayed-update semantics and model state as CuLDA, so quality curves
-// are directly comparable; only the per-token cost differs.
+// It starts from CuLDA's initial state (the one core::TrainingState builder,
+// topics keyed by global token, so with the same seed its pre-Step Gather()
+// equals CuldaTrainer's) and keeps CuLDA's delayed-update semantics, so
+// quality curves are directly comparable; only the per-token cost differs.
 #pragma once
 
 #include <memory>
@@ -18,6 +20,7 @@
 #include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 #include "core/model.hpp"
+#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/device.hpp"
 
@@ -35,15 +38,13 @@ class GpuDenseLda : public LdaSolver {
   uint64_t num_tokens() const override { return corpus_->num_tokens(); }
 
   gpusim::Device& device() { return *device_; }
-  core::GatheredModel Gather() const;
+  core::GatheredModel Gather() const { return state_.Gather(); }
 
  private:
   const corpus::Corpus* corpus_;
   core::CuldaConfig cfg_;
   std::unique_ptr<gpusim::Device> device_;
-  core::ChunkState chunk_;        ///< the whole corpus as one chunk
-  core::PhiReplica model_;        ///< read model (iteration t−1)
-  core::PhiReplica accum_;        ///< counts accumulated during iteration t
+  core::TrainingState state_;  ///< the corpus as one chunk, φ double buffer
   uint32_t iteration_ = 0;
 };
 

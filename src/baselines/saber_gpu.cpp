@@ -5,7 +5,6 @@
 #include "core/sampler/alias_table.hpp"
 #include "core/evaluator.hpp"
 #include "core/kernels.hpp"
-#include "corpus/chunking.hpp"
 #include "util/philox.hpp"
 
 namespace culda::baselines {
@@ -110,21 +109,12 @@ SaberGpuLda::SaberGpuLda(const corpus::Corpus& corpus,
   cfg_.compress_indices = false;  // 32-bit data throughout
 
   device_ = std::make_unique<gpusim::Device>(std::move(spec), 0, pool);
-  chunk_.layout = corpus::BuildWordFirstChunk(
-      corpus, corpus::PartitionByTokens(corpus, 1)[0]);
-  chunk_.work =
-      corpus::BuildBlockWorkList(chunk_.layout, cfg_.max_tokens_per_block);
-  chunk_.z.resize(chunk_.layout.num_tokens());
-  for (uint64_t t = 0; t < chunk_.z.size(); ++t) {
-    PhiloxStream rng(cfg_.seed, chunk_.layout.token_global[t]);
-    chunk_.z[t] = static_cast<uint16_t>(rng.NextBelow(cfg_.num_topics));
-  }
-  chunk_.theta = core::ThetaMatrix(chunk_.layout.num_docs(), cfg_.num_topics);
-  model_ = core::PhiReplica(cfg_.num_topics, corpus.vocab_size());
-  accum_ = core::PhiReplica(cfg_.num_topics, corpus.vocab_size());
-  RunUpdatePhiKernel(*device_, cfg_, chunk_, model_);
-  RunUpdateThetaKernel(*device_, cfg_, chunk_);
-  RunComputeNkKernel(*device_, cfg_, model_);
+  // The whole corpus as one chunk, seeded as CuldaTrainer seeds it.
+  state_ = core::TrainingState::ByDocuments(corpus, cfg_, 1, pool);
+  core::ChunkState& chunk = state_.chunks.front();
+  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.model);
+  RunUpdateThetaKernel(*device_, cfg_, chunk);
+  RunComputeNkKernel(*device_, cfg_, state_.model);
   device_->ResetTime();
   device_->ResetProfile();
 }
@@ -132,26 +122,16 @@ SaberGpuLda::SaberGpuLda(const corpus::Corpus& corpus,
 void SaberGpuLda::Step() {
   const double t0 = device_->Now();
   ++iteration_;
-  RunSaberSamplingKernel(*device_, cfg_, chunk_, model_, iteration_);
-  RunZeroPhiKernel(*device_, cfg_, accum_);
-  RunUpdatePhiKernel(*device_, cfg_, chunk_, accum_);
-  RunUpdateThetaKernel(*device_, cfg_, chunk_);
-  RunComputeNkKernel(*device_, cfg_, accum_);
-  std::swap(model_, accum_);
+  core::ChunkState& chunk = state_.chunks.front();
+  RunSaberSamplingKernel(*device_, cfg_, chunk, state_.model, iteration_);
+  RunZeroPhiKernel(*device_, cfg_, state_.accum);
+  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.accum);
+  RunUpdateThetaKernel(*device_, cfg_, chunk);
+  RunComputeNkKernel(*device_, cfg_, state_.accum);
+  std::swap(state_.model, state_.accum);
   device_->Synchronize();
   last_tokens_per_sec_ =
       static_cast<double>(corpus_->num_tokens()) / (device_->Now() - t0);
-}
-
-core::GatheredModel SaberGpuLda::Gather() const {
-  core::GatheredModel m;
-  m.num_topics = cfg_.num_topics;
-  m.vocab_size = corpus_->vocab_size();
-  m.num_docs = corpus_->num_docs();
-  m.theta = chunk_.theta;
-  m.phi = model_.phi;
-  m.nk = model_.nk;
-  return m;
 }
 
 double SaberGpuLda::LogLikelihoodPerToken() const {

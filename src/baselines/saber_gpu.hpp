@@ -26,6 +26,7 @@
 #include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 #include "core/model.hpp"
+#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/device.hpp"
 
@@ -43,16 +44,14 @@ class SaberGpuLda : public LdaSolver {
   double LogLikelihoodPerToken() const override;
   uint64_t num_tokens() const override { return corpus_->num_tokens(); }
 
-  core::GatheredModel Gather() const;
+  core::GatheredModel Gather() const { return state_.Gather(); }
   gpusim::Device& device() { return *device_; }
 
  private:
   const corpus::Corpus* corpus_;
   core::CuldaConfig cfg_;
   std::unique_ptr<gpusim::Device> device_;
-  core::ChunkState chunk_;
-  core::PhiReplica model_;
-  core::PhiReplica accum_;
+  core::TrainingState state_;  ///< the corpus as one chunk, φ double buffer
   uint32_t iteration_ = 0;
 };
 

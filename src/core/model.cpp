@@ -55,18 +55,6 @@ void PhiReplica::RecomputeTotals(ThreadPool* pool) {
   }
 }
 
-void CheckWordFrequenciesFitPhi(const corpus::Corpus& corpus) {
-  const std::vector<uint64_t> freq = corpus.WordFrequencies();
-  for (size_t v = 0; v < freq.size(); ++v) {
-    // The paper prunes stop words, which removes exactly these.
-    CULDA_CHECK_MSG(freq[v] <= 0xFFFF,
-                    "word " << v << " occurs " << freq[v]
-                            << " times; 16-bit φ counts can overflow beyond "
-                               "65535 occurrences — prune heavy/stop words "
-                               "first");
-  }
-}
-
 void GatheredModel::Validate(const corpus::Corpus& corpus) const {
   CULDA_CHECK(theta.rows() == corpus.num_docs());
   CULDA_CHECK(vocab_size == corpus.vocab_size());

@@ -124,14 +124,6 @@ struct PhiReplica {
   void RecomputeTotals(ThreadPool* pool = nullptr);
 };
 
-/// Rejects a corpus whose φ counts could wrap 16 bits (§6.1.3). A synced
-/// replica holds *global* counts, so a word's cell reaches the word's corpus
-/// frequency if every occurrence lands on one topic; a word occurring more
-/// than 65535 times could overflow mid-training. Every trainer calls this
-/// before building any state. Throws culda::Error naming the first such
-/// word, its frequency, and the 65535 cap.
-void CheckWordFrequenciesFitPhi(const corpus::Corpus& corpus);
-
 /// The full trained model gathered back to the host (Algorithm 1 lines
 /// 17–20): θ over all documents plus the synchronized φ, in the trainers'
 /// own word-major layout, so a gather copies the read model's φ as is.

@@ -12,7 +12,6 @@
 #include "obs/obs.hpp"
 #include "util/io.hpp"
 #include "util/log.hpp"
-#include "util/philox.hpp"
 #include "util/stopwatch.hpp"
 #include "validate/invariants.hpp"
 
@@ -49,16 +48,6 @@ struct alignas(64) DevicePartial {
 
 }  // namespace
 
-void CuldaTrainer::ForEachDevice(const std::function<void(size_t)>& fn) {
-  const size_t g_count = group_.size();
-  if (opts_.pool != nullptr && opts_.pool->worker_count() > 0 &&
-      g_count > 1) {
-    opts_.pool->ParallelFor(g_count, fn);
-  } else {
-    for (size_t g = 0; g < g_count; ++g) fn(g);
-  }
-}
-
 CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
                            TrainerOptions opts)
     : corpus_(&corpus),
@@ -66,12 +55,11 @@ CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
       opts_(std::move(opts)),
       group_(opts_.gpus, opts_.peer_link, opts_.pool) {
   cfg_.Validate();
-  CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
-  CheckWordFrequenciesFitPhi(corpus);
-
   ChooseM();
-  BuildChunks();
-  InitializeModel();
+  state_ = TrainingState::ByDocuments(
+      corpus, cfg_, m_ * static_cast<uint32_t>(group_.size()), opts_.pool);
+  ReserveFootprints();
+  RebuildCountsFromZ();
 
   // Iteration timing starts now; setup (preprocessing + initial counts) is
   // excluded, as in the paper's per-iteration measurements.
@@ -114,43 +102,11 @@ void CuldaTrainer::ChooseM() {
   CULDA_CHECK_MSG(false, "no chunk size fits device memory");
 }
 
-void CuldaTrainer::BuildChunks() {
-  const uint32_t c_count = m_ * static_cast<uint32_t>(group_.size());
-  const auto specs = corpus::PartitionByTokens(*corpus_, c_count);
-  chunks_.clear();
-  chunks_.resize(specs.size());
-  // Chunks are independent: each reads only the corpus and fills only its
-  // own slot, so they build concurrently and land in chunk order.
-  const auto build = [&](size_t c) {
-    ChunkState& chunk = chunks_[c];
-    chunk.layout = corpus::BuildWordFirstChunk(*corpus_, specs[c]);
-    chunk.work =
-        corpus::BuildBlockWorkList(chunk.layout, cfg_.max_tokens_per_block);
-    chunk.z.resize(chunk.layout.num_tokens());
-    // Deterministic random topic init keyed by the corpus-global token
-    // index, so the initial state is independent of the partition.
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      PhiloxStream rng(cfg_.seed, chunk.layout.token_global[t]);
-      // NextBelow(K) < K <= 0xFFFF (CuldaConfig::Validate), so the narrowing
-      // is provably lossless; the DCHECK keeps it honest if the K cap moves.
-      const uint32_t topic = rng.NextBelow(cfg_.num_topics);
-      CULDA_DCHECK(topic <= 0xFFFF);
-      chunk.z[t] = static_cast<uint16_t>(topic);
-    }
-    chunk.theta = ThetaMatrix(chunk.layout.num_docs(), cfg_.num_topics);
-  };
-  if (opts_.pool != nullptr) {
-    opts_.pool->ParallelFor(chunks_.size(), build);
-  } else {
-    for (size_t c = 0; c < chunks_.size(); ++c) build(c);
-  }
-
+void CuldaTrainer::ReserveFootprints() {
   // Charge resident footprints against device capacity. WS1 keeps all of a
   // GPU's chunks resident; WS2 keeps two chunk slots (double buffer). Every
   // device holds a double-buffered φ (read replica + accumulator), even
-  // though the host keeps one of each for all of them (the read model is
-  // allocated by RebuildCountsFromZ).
-  accum_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
+  // though the host keeps one of each for all of them.
   footprints_.clear();
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   for (uint32_t g = 0; g < g_count; ++g) {
@@ -158,19 +114,18 @@ void CuldaTrainer::BuildChunks() {
     footprints_.push_back(dev.Reserve(
         2 * PhiFootprintBytes(cfg_, corpus_->vocab_size()), "phi_replica"));
     if (m_ == 1) {
-      footprints_.push_back(dev.Reserve(chunks_[g].DeviceBytes(cfg_), "chunk"));
+      footprints_.push_back(
+          dev.Reserve(state_.chunks[g].DeviceBytes(cfg_), "chunk"));
     } else {
       uint64_t max_chunk = 0;
       for (uint32_t m = 0; m < m_; ++m) {
         max_chunk = std::max(max_chunk,
-                             chunks_[m * g_count + g].DeviceBytes(cfg_));
+                             state_.chunks[m * g_count + g].DeviceBytes(cfg_));
       }
       footprints_.push_back(dev.Reserve(2 * max_chunk, "chunk_double_buffer"));
     }
   }
 }
-
-void CuldaTrainer::InitializeModel() { RebuildCountsFromZ(); }
 
 void CuldaTrainer::RebuildCountsFromZ() {
   CULDA_OBS_SPAN("train/rebuild_counts");
@@ -178,19 +133,18 @@ void CuldaTrainer::RebuildCountsFromZ() {
   // Counts from the current assignment: θ per chunk, φ from every device
   // into the one host model. Each device touches only its own chunks, and
   // its φ adds are atomic, so the rebuild runs device-parallel up to the φ
-  // sync point, which then has nothing left to add. A fresh allocation is
-  // already zero, so there is nothing to clear.
-  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
-  ForEachDevice([&](size_t g) {
+  // sync point, which then has nothing left to add. The model is already
+  // zero: freshly built, or cleared by TrainingState::ImportAssignments.
+  ForEachCell(opts_.pool, group_.size(), [&](size_t g) {
     gpusim::Device& dev = group_.device(g);
-    BillZeroPhiKernel(dev, cfg_, model_);
+    BillZeroPhiKernel(dev, cfg_, state_.model);
     for (uint32_t m = 0; m < m_; ++m) {
-      ChunkState& chunk = chunks_[m * g_count + g];
-      RunUpdatePhiKernel(dev, cfg_, chunk, model_);
+      ChunkState& chunk = state_.chunks[m * g_count + g];
+      RunUpdatePhiKernel(dev, cfg_, chunk, state_.model);
       RunUpdateThetaKernel(dev, cfg_, chunk);
     }
   });
-  BillSynchronizePhi(group_, cfg_, model_, opts_.sync_mode);
+  BillSynchronizePhi(group_, cfg_, state_.model, opts_.sync_mode);
   ComputeNk();
   group_.Barrier();
   // Covers every path that rewrites the counts wholesale: construction,
@@ -218,10 +172,11 @@ IterationStats CuldaTrainer::Step() {
     StepWs2(stats);
   }
   // Post-sampling/θ-update, pre-sync: each chunk's z and θ must already
-  // agree (φ is mid-flight in accum_, so only per-chunk checks apply here).
+  // agree (φ is mid-flight in the accumulator, so only per-chunk checks
+  // apply here).
   CULDA_VALIDATE_HOOK(if (opts_.validate) {
-    for (size_t c = 0; c < chunks_.size(); ++c) {
-      validate::ValidateChunk(*corpus_, cfg_, chunks_[c],
+    for (size_t c = 0; c < state_.chunks.size(); ++c) {
+      validate::ValidateChunk(*corpus_, cfg_, state_.chunks[c],
                               "chunk " + std::to_string(c));
     }
   });
@@ -232,7 +187,7 @@ IterationStats CuldaTrainer::Step() {
 
   stats.sim_seconds = group_.Now() - t0;
   stats.wall_seconds = wall.Seconds();
-  for (const auto& chunk : chunks_) stats.theta_nnz += chunk.theta.nnz();
+  stats.theta_nnz = state_.ThetaNnz();
   stats.tokens_per_sec =
       static_cast<double>(corpus_->num_tokens()) / stats.sim_seconds;
   stats.wall_tokens_per_sec =
@@ -272,12 +227,12 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
   std::vector<DevicePartial> partials(group_.size());
   const SamplingPass pass = SampleAllChunks();
   // Zeroed once for every device; each device still bills its zero_phi.
-  accum_.Clear();
-  ForEachDevice([&](size_t g) {
+  state_.accum.Clear();
+  ForEachCell(opts_.pool, group_.size(), [&](size_t g) {
     CULDA_OBS_SPAN("train/ws1 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
     gpusim::Device& dev = group_.device(g);
-    ChunkState& chunk = chunks_[g];
+    ChunkState& chunk = state_.chunks[g];
     gpusim::Stream& compute = dev.stream(0);
 
     const auto sampling =
@@ -288,9 +243,10 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
     // counts accumulate into the double buffer; the read model stays
     // intact for any chunk still sampling.
     part.update_phi_s +=
-        BillZeroPhiKernel(dev, cfg_, accum_, &compute).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, state_.accum, &compute).time.total_s;
     part.update_phi_s +=
-        RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute).time.total_s;
+        RunUpdatePhiKernel(dev, cfg_, chunk, state_.accum, &compute)
+            .time.total_s;
 
     gpusim::Stream& theta_stream =
         opts_.overlap_theta_with_sync ? dev.stream(1) : compute;
@@ -312,8 +268,8 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
   std::vector<DevicePartial> partials(group_.size());
   const SamplingPass pass = SampleAllChunks();
   // Zeroed once for every device; each device still bills its zero_phi.
-  accum_.Clear();
-  ForEachDevice([&](size_t g) {
+  state_.accum.Clear();
+  ForEachCell(opts_.pool, group_.size(), [&](size_t g) {
     CULDA_OBS_SPAN("train/ws2 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
     gpusim::Device& dev = group_.device(g);
@@ -327,11 +283,11 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
         opts_.overlap_transfers ? dev.stream(2) : compute;
 
     part.update_phi_s +=
-        BillZeroPhiKernel(dev, cfg_, accum_, &compute).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, state_.accum, &compute).time.total_s;
 
     for (uint32_t m = 0; m < m_; ++m) {
       const size_t c = m * g_count + g;
-      ChunkState& chunk = chunks_[c];
+      ChunkState& chunk = state_.chunks[c];
       // Upload chunk m (tokens + z + θ). On the copy stream this overlaps
       // the previous chunk's compute — the Section 5.1 pipeline.
       const double up_done =
@@ -342,7 +298,8 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
           BillSamplingKernel(dev, cfg_, chunk, pass.chunks[c], &compute);
       part.sampling_s += sampling.time.total_s;
       part.update_phi_s +=
-          RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute).time.total_s;
+          RunUpdatePhiKernel(dev, cfg_, chunk, state_.accum, &compute)
+              .time.total_s;
       part.update_theta_s +=
           RunUpdateThetaKernel(dev, cfg_, chunk, &compute).time.total_s;
 
@@ -366,12 +323,12 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
 SamplingPass CuldaTrainer::SampleAllChunks() {
   CULDA_OBS_NAMED_SPAN(span, "train/sampling");
   // Chunk c lives on GPU c mod G under both schedules.
-  std::vector<const gpusim::Device*> billers(chunks_.size());
-  for (size_t c = 0; c < chunks_.size(); ++c) {
+  std::vector<const gpusim::Device*> billers(state_.chunks.size());
+  for (size_t c = 0; c < state_.chunks.size(); ++c) {
     billers[c] = &group_.device(c % group_.size());
   }
   SamplingPass pass =
-      SampleChunks(cfg_, chunks_, billers, model_, iteration_ + 1,
+      SampleChunks(cfg_, state_.chunks, billers, state_.model, iteration_ + 1,
                    opts_.pool, opts_.sampler, opts_.mh_cycles);
   CULDA_OBS_SPAN_ARG(span, "blocks", pass.blocks);
   CULDA_OBS_SPAN_ARG(span, "word_tables", pass.word_tables);
@@ -388,11 +345,11 @@ void CuldaTrainer::SyncAndFinishIteration(IterationStats& stats) {
     // Every device added into the one accumulator, so it already holds the
     // global sum; what is left is to bill the sync of G replicas.
     const auto sync =
-        BillSynchronizePhi(group_, cfg_, accum_, opts_.sync_mode);
+        BillSynchronizePhi(group_, cfg_, state_.accum, opts_.sync_mode);
     stats.sync_s += sync.seconds;
   }
   // The synchronized accumulator becomes the next iteration's read model.
-  std::swap(model_, accum_);
+  std::swap(state_.model, state_.accum);
   CULDA_OBS_SPAN("train/compute_nk");
   CULDA_OBS_TIMED("train.nk_wall_s");
   for (const double s : ComputeNk()) stats.update_phi_s += s;
@@ -400,17 +357,17 @@ void CuldaTrainer::SyncAndFinishIteration(IterationStats& stats) {
 }
 
 std::vector<double> CuldaTrainer::ComputeNk() {
-  model_.RecomputeTotals(opts_.pool);
+  state_.model.RecomputeTotals(opts_.pool);
   std::vector<double> nk_s(group_.size(), 0.0);
-  ForEachDevice([&](size_t g) {
+  ForEachCell(opts_.pool, group_.size(), [&](size_t g) {
     nk_s[g] =
-        BillComputeNkKernel(group_.device(g), cfg_, model_).time.total_s;
+        BillComputeNkKernel(group_.device(g), cfg_, state_.model).time.total_s;
   });
   return nk_s;
 }
 
 void CuldaTrainer::ValidateState() const {
-  validate::ValidateModelState(*corpus_, cfg_, chunks_, model_);
+  validate::ValidateModelState(*corpus_, cfg_, state_.chunks, state_.model);
 }
 
 std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {
@@ -422,55 +379,12 @@ std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {
   return out;
 }
 
-GatheredModel CuldaTrainer::Gather() const {
-  GatheredModel model;
-  model.num_topics = cfg_.num_topics;
-  model.vocab_size = corpus_->vocab_size();
-  model.num_docs = corpus_->num_docs();
-  model.theta = ThetaMatrix(corpus_->num_docs(), cfg_.num_topics);
-  ThetaMatrix::RowBuilder builder(&model.theta);
-
-  // Chunks are contiguous ascending document ranges; walk them in id order.
-  size_t next_doc = 0;
-  for (const auto& chunk : chunks_) {
-    CULDA_CHECK(chunk.layout.spec.doc_begin == next_doc);
-    for (uint64_t d = 0; d < chunk.num_docs(); ++d) {
-      builder.AppendRow(next_doc++, chunk.theta.RowIndices(d),
-                        chunk.theta.RowValues(d));
-    }
-  }
-  builder.Finish();
-
-  model.phi = model_.phi;
-  model.nk = model_.nk;
-  return model;
-}
-
 double CuldaTrainer::LogLikelihoodPerToken() const {
   return core::LogLikelihoodPerToken(Gather(), cfg_, opts_.pool);
 }
 
-std::vector<uint16_t> CuldaTrainer::ExportAssignments() const {
-  std::vector<uint16_t> z(corpus_->num_tokens());
-  for (const auto& chunk : chunks_) {
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      z[chunk.layout.token_global[t]] = chunk.z[t];
-    }
-  }
-  return z;
-}
-
 void CuldaTrainer::ImportAssignments(std::span<const uint16_t> z_doc_major) {
-  CULDA_CHECK_MSG(z_doc_major.size() == corpus_->num_tokens(),
-                  "assignment vector must cover every corpus token");
-  for (const uint16_t z : z_doc_major) {
-    CULDA_CHECK_MSG(z < cfg_.num_topics, "topic id out of range");
-  }
-  for (auto& chunk : chunks_) {
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      chunk.z[t] = z_doc_major[chunk.layout.token_global[t]];
-    }
-  }
+  state_.ImportAssignments(z_doc_major);
   RebuildCountsFromZ();
 }
 
@@ -492,8 +406,8 @@ void CuldaTrainer::SaveCheckpoint(std::ostream& out) const {
   w.WritePod(static_cast<uint64_t>(corpus_->num_docs()));
   w.WritePod(corpus_->vocab_size());
   w.WritePod(iteration_);
-  w.WritePod(static_cast<uint32_t>(chunks_.size()));
-  for (const auto& chunk : chunks_) {
+  w.WritePod(static_cast<uint32_t>(state_.chunks.size()));
+  for (const auto& chunk : state_.chunks) {
     w.WritePod(static_cast<uint64_t>(chunk.z.size()));
     w.WriteSpan(chunk.z);
   }
@@ -535,7 +449,7 @@ void CuldaTrainer::RestoreCheckpoint(std::istream& in) {
 
   // The checkpoint's chunking may differ (different G or M): read all z in
   // checkpoint-chunk order into a corpus-global array keyed by token id,
-  // then scatter into this trainer's chunks. Chunk specs are contiguous in
+  // then import that into this trainer's chunks. Chunk specs are contiguous in
   // document (hence token) order in both layouts, but the *word-first*
   // permutation inside differs, so routing via token_global is required.
   std::vector<uint16_t> z_global(corpus_->num_tokens());
@@ -559,11 +473,11 @@ void CuldaTrainer::RestoreCheckpoint(std::istream& in) {
           corpus::BuildWordFirstChunk(*corpus_, specs[c_idx]);
       CULDA_CHECK_MSG(layout.num_tokens() == n,
                       "checkpoint chunking mismatch");
-      for (uint64_t t = 0; t < n; ++t) {
-        CULDA_CHECK_MSG(buf[t] < cfg_.num_topics,
-                        "checkpoint topic id " << buf[t] << " out of range");
-        z_global[layout.token_global[t]] = buf[t];
+      for (const uint16_t z : buf) {
+        CULDA_CHECK_MSG(z < cfg_.num_topics,
+                        "checkpoint topic id " << z << " out of range");
       }
+      ScatterToCorpusOrder(layout, buf, z_global);
       covered += n;
     }
     CULDA_CHECK_MSG(covered == corpus_->num_tokens(),
@@ -571,11 +485,7 @@ void CuldaTrainer::RestoreCheckpoint(std::istream& in) {
     r.ExpectEnd();
   }
 
-  for (auto& chunk : chunks_) {
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      chunk.z[t] = z_global[chunk.layout.token_global[t]];
-    }
-  }
+  state_.ImportAssignments(z_global);
   iteration_ = iteration;
   RebuildCountsFromZ();
 }

@@ -24,6 +24,7 @@
 #include "core/kernels.hpp"
 #include "core/model.hpp"
 #include "core/sync.hpp"
+#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/multi_gpu.hpp"
 #include "util/thread_pool.hpp"
@@ -111,7 +112,7 @@ class CuldaTrainer {
   }
   uint32_t chunks_per_gpu() const { return m_; }
   uint32_t num_chunks() const {
-    return static_cast<uint32_t>(chunks_.size());
+    return static_cast<uint32_t>(state_.chunks.size());
   }
   uint64_t num_tokens() const { return corpus_->num_tokens(); }
   const CuldaConfig& config() const { return cfg_; }
@@ -130,7 +131,7 @@ class CuldaTrainer {
   const SamplingStepCounters& step_counters() const { return steps_; }
 
   /// Collects the trained model back to the host (Algorithm 1 lines 17–20).
-  GatheredModel Gather() const;
+  GatheredModel Gather() const { return state_.Gather(); }
 
   /// Convenience: gather + evaluate the Figure 8 metric.
   double LogLikelihoodPerToken() const;
@@ -173,24 +174,20 @@ class CuldaTrainer {
   /// caller move training state across *growing* corpora (see
   /// core::OnlineTrainer): token ids of existing documents are stable when
   /// documents are appended.
-  std::vector<uint16_t> ExportAssignments() const;
+  std::vector<uint16_t> ExportAssignments() const {
+    return state_.ExportAssignments();
+  }
   /// Replaces all topic assignments (document-major, length = corpus
   /// tokens, values < K) and rebuilds θ/φ/n_k. Does not change iteration().
   void ImportAssignments(std::span<const uint16_t> z_doc_major);
 
  private:
   void ChooseM();
-  void BuildChunks();
-  void InitializeModel();
-  /// Runs fn(g) for every device — concurrently on opts_.pool when one is
-  /// set (simulated GPUs are independent between sync points), sequentially
-  /// otherwise. Callers keep per-device partials and reduce them in fixed
-  /// device order after this returns, which is what keeps float sums (and
-  /// thus reported stats) independent of the execution interleaving.
-  void ForEachDevice(const std::function<void(size_t)>& fn);
+  /// Charges every device's resident chunk and φ footprints.
+  void ReserveFootprints();
   /// Rebuilds θ/φ/n_k from the current z (used at init and restore).
   void RebuildCountsFromZ();
-  /// Samples every chunk against model_ in one word-major pass
+  /// Samples every chunk against the read model in one word-major pass
   /// (SampleChunks), before the device-parallel region, and adds its step
   /// tallies to steps_ when collecting; each device then bills its chunks
   /// from the pass's tallies.
@@ -198,8 +195,9 @@ class CuldaTrainer {
   void StepWs1(IterationStats& stats);
   void StepWs2(IterationStats& stats);
   void SyncAndFinishIteration(IterationStats& stats);
-  /// Computes model_'s n_k once on the host and bills the compute_nk kernel
-  /// on every device; returns the billed seconds per device.
+  /// Computes the read model's n_k once on the host and bills the
+  /// compute_nk kernel on every device; returns the billed seconds per
+  /// device.
   std::vector<double> ComputeNk();
   uint64_t ChunkUploadBytes(const ChunkState& chunk) const;
 
@@ -208,19 +206,11 @@ class CuldaTrainer {
   TrainerOptions opts_;
   gpusim::DeviceGroup group_;
   uint32_t m_ = 1;  ///< chunks per GPU
-  std::vector<ChunkState> chunks_;          ///< C = M × G entries
-  /// Double-buffered φ, one host copy standing for every GPU's replica:
-  /// `model_` is the synchronized model every sampling kernel reads
-  /// (iteration t−1); `accum_` collects every device's new counts during
-  /// iteration t (update_phi's adds are atomic, so concurrent devices share
-  /// it) and becomes `model_` after the sync. After a sync all G device
-  /// replicas would hold the same bits, so the host keeps one; the kernels,
-  /// the sync and the memory footprint are still billed per device
-  /// (docs/simulator.md, "Functional vs billed work"). (The paper does not
-  /// spell out the double buffer, but reading and rebuilding φ in the same
-  /// buffer while chunks stream through the GPU cannot work.)
-  PhiReplica model_;
-  PhiReplica accum_;
+  /// C = M × G chunks (chunk c on GPU c mod G) and the φ double buffer,
+  /// whose accumulator every device's update_phi adds into atomically. (The
+  /// paper does not spell out the double buffer, but reading and rebuilding
+  /// φ in one buffer while chunks stream through the GPU cannot work.)
+  TrainingState state_;
   /// Capacity charges representing resident chunk + model footprints.
   std::vector<gpusim::DeviceReservation> footprints_;
   std::vector<IterationStats> history_;

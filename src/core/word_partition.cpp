@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/evaluator.hpp"
-#include "util/philox.hpp"
 #include "util/stopwatch.hpp"
 
 namespace culda::core {
@@ -15,28 +14,10 @@ WordPartitionTrainer::WordPartitionTrainer(
       cfg_(std::move(cfg)),
       group_(std::move(gpus), std::move(peer_link)) {
   cfg_.Validate();
-  CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
-  CheckWordFrequenciesFitPhi(corpus);
-  const uint32_t g_count = static_cast<uint32_t>(group_.size());
-
-  ranges_ = corpus::PartitionWordsByTokens(corpus, g_count);
-  for (uint32_t g = 0; g < g_count; ++g) {
-    ChunkState chunk;
-    chunk.layout = corpus::BuildWordRangeChunk(corpus, ranges_[g]);
-    chunk.work =
-        corpus::BuildBlockWorkList(chunk.layout, cfg_.max_tokens_per_block);
-    chunk.z.resize(chunk.layout.num_tokens());
-    // Identical keying to CuldaTrainer: the same token gets the same draw
-    // under either partition policy.
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      PhiloxStream rng(cfg_.seed, chunk.layout.token_global[t]);
-      chunk.z[t] = static_cast<uint16_t>(rng.NextBelow(cfg_.num_topics));
-    }
-    chunk.theta = ThetaMatrix(corpus.num_docs(), cfg_.num_topics);
-    chunks_.push_back(std::move(chunk));
-  }
-  accum_ = PhiReplica(cfg_.num_topics, corpus.vocab_size());
-  theta_global_ = ThetaMatrix(corpus.num_docs(), cfg_.num_topics);
+  ranges_ = corpus::PartitionWordsByTokens(
+      corpus, static_cast<uint32_t>(group_.size()));
+  state_ = TrainingState::ByWordRanges(corpus, cfg_, ranges_,
+                                       /*pool=*/nullptr);
 
   RebuildCountsFromZ();
   group_.ResetTime();
@@ -47,13 +28,12 @@ WordPartitionTrainer::WordPartitionTrainer(
 
 void WordPartitionTrainer::RebuildCountsFromZ() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  // A fresh allocation is already zero; each device still bills its clear.
-  model_ = PhiReplica(cfg_.num_topics, corpus_->vocab_size());
+  // The model is built all zero; each device still bills its clear.
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
-    BillZeroPhiKernel(dev, cfg_, model_);
-    RunUpdatePhiKernel(dev, cfg_, chunks_[g], model_);
-    RunUpdateThetaKernel(dev, cfg_, chunks_[g]);
+    BillZeroPhiKernel(dev, cfg_, state_.model);
+    RunUpdatePhiKernel(dev, cfg_, state_.chunks[g], state_.model);
+    RunUpdateThetaKernel(dev, cfg_, state_.chunks[g]);
   }
   SynchronizeTheta();
   SynchronizeNk();
@@ -66,11 +46,12 @@ double WordPartitionTrainer::SynchronizeTheta() {
   last_theta_sync_bytes_ = 0;
 
   // Functional: dense-sum the partial replicas, compact to the global CSR.
+  ThetaMatrix global(corpus_->num_docs(), cfg_.num_topics);
   {
     sparse::DenseMatrix<int32_t> dense(corpus_->num_docs(),
                                        cfg_.num_topics);
     for (uint32_t g = 0; g < g_count; ++g) {
-      const ThetaMatrix& partial = chunks_[g].theta;
+      const ThetaMatrix& partial = state_.chunks[g].theta;
       for (size_t d = 0; d < partial.rows(); ++d) {
         const auto idx = partial.RowIndices(d);
         const auto val = partial.RowValues(d);
@@ -79,8 +60,7 @@ double WordPartitionTrainer::SynchronizeTheta() {
         }
       }
     }
-    ThetaMatrix fresh(corpus_->num_docs(), cfg_.num_topics);
-    ThetaMatrix::RowBuilder builder(&fresh);
+    ThetaMatrix::RowBuilder builder(&global);
     std::vector<uint16_t> idx;
     std::vector<int32_t> val;
     for (size_t d = 0; d < corpus_->num_docs(); ++d) {
@@ -95,7 +75,6 @@ double WordPartitionTrainer::SynchronizeTheta() {
       builder.AppendRow(d, idx, val);
     }
     builder.Finish();
-    theta_global_ = std::move(fresh);
   }
 
   if (g_count > 1) {
@@ -108,7 +87,7 @@ double WordPartitionTrainer::SynchronizeTheta() {
     };
     std::vector<uint64_t> replica_bytes(g_count);
     for (uint32_t g = 0; g < g_count; ++g) {
-      replica_bytes[g] = csr_bytes(chunks_[g].theta);
+      replica_bytes[g] = csr_bytes(state_.chunks[g].theta);
     }
     for (size_t step = 1; step < g_count; step *= 2) {
       for (size_t i = 0; i + step < g_count; i += 2 * step) {
@@ -127,7 +106,7 @@ double WordPartitionTrainer::SynchronizeTheta() {
         replica_bytes[i] += replica_bytes[i + step];  // merged size grows
       }
     }
-    const uint64_t global_bytes = csr_bytes(theta_global_);
+    const uint64_t global_bytes = csr_bytes(global);
     size_t top = 1;
     while (top * 2 < g_count) top *= 2;
     for (size_t step = top; step >= 1; step /= 2) {
@@ -141,7 +120,7 @@ double WordPartitionTrainer::SynchronizeTheta() {
 
   // Install the global θ on every GPU (the sampling input of iteration t+1).
   for (uint32_t g = 0; g < g_count; ++g) {
-    chunks_[g].theta = theta_global_;
+    state_.chunks[g].theta = global;
   }
   return group_.Now() - start;
 }
@@ -150,7 +129,7 @@ void WordPartitionTrainer::SynchronizeNk() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
   // Local column sums, then an all-reduce of K integers (tiny). The sum of
   // the per-device column sums is the whole model's, computed once.
-  model_.RecomputeTotals();
+  state_.model.RecomputeTotals();
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
     const auto& range = ranges_[g];
@@ -179,22 +158,22 @@ IterationStats WordPartitionTrainer::Step() {
   const uint32_t g_count = static_cast<uint32_t>(group_.size());
 
   // Zeroed once for every device; each device still bills its zero_phi.
-  accum_.Clear();
+  state_.accum.Clear();
   for (uint32_t g = 0; g < g_count; ++g) {
     gpusim::Device& dev = group_.device(g);
-    ChunkState& chunk = chunks_[g];
+    ChunkState& chunk = state_.chunks[g];
     const auto sampling =
-        RunSamplingKernel(dev, cfg_, chunk, model_, iteration_ + 1);
+        RunSamplingKernel(dev, cfg_, chunk, state_.model, iteration_ + 1);
     stats.sampling_s += sampling.time.total_s;
     // φ columns are exclusively owned: rebuild locally, no sync.
     stats.update_phi_s +=
-        BillZeroPhiKernel(dev, cfg_, accum_).time.total_s;
+        BillZeroPhiKernel(dev, cfg_, state_.accum).time.total_s;
     stats.update_phi_s +=
-        RunUpdatePhiKernel(dev, cfg_, chunk, accum_).time.total_s;
+        RunUpdatePhiKernel(dev, cfg_, chunk, state_.accum).time.total_s;
     stats.update_theta_s +=
         RunUpdateThetaKernel(dev, cfg_, chunk).time.total_s;
   }
-  std::swap(model_, accum_);
+  std::swap(state_.model, state_.accum);
   stats.sync_s += SynchronizeTheta();
   SynchronizeNk();
   group_.Barrier();
@@ -203,7 +182,7 @@ IterationStats WordPartitionTrainer::Step() {
   stats.wall_seconds = wall.Seconds();
   stats.tokens_per_sec =
       static_cast<double>(corpus_->num_tokens()) / stats.sim_seconds;
-  stats.theta_nnz = theta_global_.nnz();
+  stats.theta_nnz = state_.ThetaNnz();
   ++iteration_;
   return stats;
 }
@@ -213,17 +192,6 @@ std::vector<IterationStats> WordPartitionTrainer::Train(uint32_t iterations) {
   out.reserve(iterations);
   for (uint32_t i = 0; i < iterations; ++i) out.push_back(Step());
   return out;
-}
-
-GatheredModel WordPartitionTrainer::Gather() const {
-  GatheredModel model;
-  model.num_topics = cfg_.num_topics;
-  model.vocab_size = corpus_->vocab_size();
-  model.num_docs = corpus_->num_docs();
-  model.theta = theta_global_;
-  model.phi = model_.phi;
-  model.nk = model_.nk;
-  return model;
 }
 
 double WordPartitionTrainer::LogLikelihoodPerToken() const {

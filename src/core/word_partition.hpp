@@ -22,6 +22,7 @@
 #include "core/kernels.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
+#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/multi_gpu.hpp"
 
@@ -42,7 +43,7 @@ class WordPartitionTrainer {
   IterationStats Step();
   std::vector<IterationStats> Train(uint32_t iterations);
 
-  GatheredModel Gather() const;
+  GatheredModel Gather() const { return state_.Gather(); }
   double LogLikelihoodPerToken() const;
 
   /// Bytes moved for the θ reduce+broadcast in the last Step() — the
@@ -60,17 +61,12 @@ class WordPartitionTrainer {
   CuldaConfig cfg_;
   gpusim::DeviceGroup group_;
   std::vector<corpus::WordRange> ranges_;
-  std::vector<ChunkState> chunks_;   ///< one word-range chunk per GPU;
-                                     ///< chunk.theta holds the GLOBAL θ
-                                     ///< between iterations
-  /// Double-buffered φ, one host copy standing for every GPU's replica, as
-  /// in CuldaTrainer: `model_` is what sampling reads, `accum_` what
-  /// update_phi rebuilds. Each GPU reads and writes only its own columns,
-  /// so the stitched-together device replicas are exactly these matrices;
-  /// every kernel is still billed per device.
-  PhiReplica model_;
-  PhiReplica accum_;
-  ThetaMatrix theta_global_;
+  /// One word-range chunk per GPU, whose θ holds the GLOBAL θ between
+  /// iterations, and the φ double buffer, as in CuldaTrainer. Each GPU
+  /// reads and writes only its own φ columns, so the stitched-together
+  /// device replicas are exactly the one host model; every kernel is still
+  /// billed per device.
+  TrainingState state_;
   uint32_t iteration_ = 0;
   uint64_t last_theta_sync_bytes_ = 0;
 };

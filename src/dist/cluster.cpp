@@ -8,7 +8,6 @@
 #include "corpus/chunking.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/philox.hpp"
 
 namespace culda::dist {
 
@@ -48,10 +47,8 @@ ClusterTrainer::ClusterTrainer(const corpus::Corpus& corpus,
       opts_(std::move(opts)),
       fabric_(opts_.num_nodes, opts_.topology, opts_.network) {
   cfg_.Validate();
-  CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
   CULDA_CHECK_MSG(opts_.num_nodes >= 1, "num_nodes must be >= 1");
   CULDA_CHECK_MSG(!opts_.gpus.empty(), "need at least one GPU per node");
-  core::CheckWordFrequenciesFitPhi(corpus);
   nodes_.reserve(opts_.num_nodes);
   for (uint32_t n = 0; n < opts_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<gpusim::DeviceGroup>(
@@ -68,28 +65,12 @@ ClusterTrainer::ClusterTrainer(const corpus::Corpus& corpus,
 }
 
 void ClusterTrainer::BuildChunks() {
-  const uint32_t c_count =
-      opts_.num_nodes * static_cast<uint32_t>(opts_.gpus.size());
-  const auto specs = corpus::PartitionByTokens(*corpus_, c_count);
-  chunks_.clear();
-  chunks_.reserve(specs.size());
-  for (const auto& spec : specs) {
-    core::ChunkState chunk;
-    chunk.layout = corpus::BuildWordFirstChunk(*corpus_, spec);
-    chunk.work =
-        corpus::BuildBlockWorkList(chunk.layout, cfg_.max_tokens_per_block);
-    chunk.z.resize(chunk.layout.num_tokens());
-    // Identical topic init to CuldaTrainer: keyed by the corpus-global token
-    // index, so the initial state is independent of the partition (and the
-    // kSync ≡ single-machine bit-identity has a common starting point).
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      PhiloxStream rng(cfg_.seed, chunk.layout.token_global[t]);
-      chunk.z[t] = static_cast<uint16_t>(rng.NextBelow(cfg_.num_topics));
-    }
-    chunk.theta =
-        core::ThetaMatrix(chunk.layout.num_docs(), cfg_.num_topics);
-    chunks_.push_back(std::move(chunk));
-  }
+  // Chunk n·G+g on node n, GPU g: a single N·G-GPU CuldaTrainer's state.
+  state_ = core::TrainingState::ByDocuments(
+      *corpus_, cfg_,
+      opts_.num_nodes * static_cast<uint32_t>(opts_.gpus.size()), opts_.pool,
+      opts_.mode == DistMode::kSync ? core::PhiBuffers::kDoubleBuffered
+                                    : core::PhiBuffers::kReadModelOnly);
 
   if (opts_.mode == DistMode::kAsync) {
     shards_ = corpus::PartitionWordsByTokens(*corpus_, opts_.num_nodes);
@@ -98,9 +79,9 @@ void ClusterTrainer::BuildChunks() {
     // so the shard-restricted kernel keeps the heavy-block-first schedule.
     shard_work_.assign(shards_.size(), {});
     for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_work_[s].resize(chunks_.size());
-      for (size_t c = 0; c < chunks_.size(); ++c) {
-        for (const corpus::BlockWork& bw : chunks_[c].work) {
+      shard_work_[s].resize(state_.chunks.size());
+      for (size_t c = 0; c < state_.chunks.size(); ++c) {
+        for (const corpus::BlockWork& bw : state_.chunks[c].work) {
           if (bw.word >= shards_[s].word_begin &&
               bw.word < shards_[s].word_end) {
             shard_work_[s][c].push_back(bw);
@@ -111,30 +92,15 @@ void ClusterTrainer::BuildChunks() {
   }
 }
 
-void ClusterTrainer::ForEachNodeGpu(
-    const std::function<void(size_t, size_t)>& fn) {
-  const size_t g_count = opts_.gpus.size();
-  const size_t total = nodes_.size() * g_count;
-  if (opts_.pool != nullptr && opts_.pool->worker_count() > 0 && total > 1) {
-    opts_.pool->ParallelFor(total, [&](size_t i) {
-      fn(i / g_count, i % g_count);
-    });
-  } else {
-    for (size_t i = 0; i < total; ++i) fn(i / g_count, i % g_count);
-  }
-}
-
 void ClusterTrainer::InitializeModel() {
   if (opts_.mode == DistMode::kSync) {
-    // Every (node, GPU) cell adds its chunk into the one freshly allocated
-    // (so already zero) model; each still bills its zero_phi.
-    model_ = core::PhiReplica(cfg_.num_topics, corpus_->vocab_size());
-    accum_ = core::PhiReplica(cfg_.num_topics, corpus_->vocab_size());
-    ForEachNodeGpu([&](size_t n, size_t g) {
-      gpusim::Device& dev = nodes_[n]->device(g);
-      core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
-      core::BillZeroPhiKernel(dev, cfg_, model_);
-      core::RunUpdatePhiKernel(dev, cfg_, chunk, model_);
+    // Every (node, GPU) cell adds its chunk into the one model, built all
+    // zero; each still bills its zero_phi.
+    core::ForEachCell(opts_.pool, state_.chunks.size(), [&](size_t c) {
+      gpusim::Device& dev = CellDevice(c);
+      core::ChunkState& chunk = state_.chunks[c];
+      core::BillZeroPhiKernel(dev, cfg_, state_.model);
+      core::RunUpdatePhiKernel(dev, cfg_, chunk, state_.model);
       core::RunUpdateThetaKernel(dev, cfg_, chunk);
     });
     SyncAndComputeNk();
@@ -143,22 +109,20 @@ void ClusterTrainer::InitializeModel() {
 
   // kAsync: one canonical host-side model (consistent with z at all times)
   // plus a full-width sampling view per node, all starting fresh.
-  canonical_ = core::PhiReplica(cfg_.num_topics, corpus_->vocab_size());
-  for (const auto& chunk : chunks_) {
+  for (const auto& chunk : state_.chunks) {
     for (uint64_t t = 0; t < chunk.z.size(); ++t) {
       uint16_t& cell =
-          canonical_.phi(chunk.z[t], chunk.layout.token_word[t]);
+          state_.model.phi(chunk.z[t], chunk.layout.token_word[t]);
       CULDA_CHECK_MSG(cell < 0xFFFF, "phi count overflow at init");
       ++cell;
     }
   }
-  canonical_.RecomputeTotals();
-  views_.assign(nodes_.size(), canonical_);
+  state_.model.RecomputeTotals();
+  views_.assign(nodes_.size(), state_.model);
   last_refresh_.assign(nodes_.size(),
                        std::vector<uint32_t>(shards_.size(), 0));
-  ForEachNodeGpu([&](size_t n, size_t g) {
-    core::RunUpdateThetaKernel(nodes_[n]->device(g), cfg_,
-                               chunks_[ChunkIndex(n, g)]);
+  core::ForEachCell(opts_.pool, state_.chunks.size(), [&](size_t c) {
+    core::RunUpdateThetaKernel(CellDevice(c), cfg_, state_.chunks[c]);
   });
   for (auto& node : nodes_) node->Barrier();
 }
@@ -192,7 +156,7 @@ SweepStats ClusterTrainer::Sweep() {
   stats.sim_seconds = Now() - t0;
   stats.network_payload_bytes = fabric_.payload_bytes() - payload0;
   stats.network_wire_bytes = fabric_.wire_bytes() - wire0;
-  for (const auto& chunk : chunks_) stats.theta_nnz += chunk.theta.nnz();
+  stats.theta_nnz = state_.ThetaNnz();
   max_observed_staleness_ =
       std::max(max_observed_staleness_, stats.max_staleness);
   ++sweep_;
@@ -211,32 +175,28 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
   // One CuLDA iteration with the reduce+broadcast spanning the fabric.
   // The per-device schedule is CuldaTrainer's WS1 (resident chunks, φ
   // double-buffered, θ overlapping the sync on stream 1).
-  std::vector<CellPartial> partials(chunks_.size());
-  // Every cell reads the one model_, so all N·G chunks are sampled in one
-  // word-major pass; each cell then bills its own launch.
-  std::vector<const gpusim::Device*> billers(chunks_.size());
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    for (size_t g = 0; g < opts_.gpus.size(); ++g) {
-      billers[ChunkIndex(n, g)] = &nodes_[n]->device(g);
-    }
-  }
-  const core::SamplingPass pass =
-      core::SampleChunks(cfg_, chunks_, billers, model_, sweep_ + 1,
-                         opts_.pool, opts_.sampler, opts_.mh_cycles);
+  std::vector<CellPartial> partials(state_.chunks.size());
+  // Every cell reads the one read model, so all N·G chunks are sampled in
+  // one word-major pass; each cell then bills its own launch.
+  std::vector<const gpusim::Device*> billers(state_.chunks.size());
+  for (size_t c = 0; c < billers.size(); ++c) billers[c] = &CellDevice(c);
+  const core::SamplingPass pass = core::SampleChunks(
+      cfg_, state_.chunks, billers, state_.model, sweep_ + 1, opts_.pool,
+      opts_.sampler, opts_.mh_cycles);
   // Zeroed once for every cell; each cell still bills its zero_phi.
-  accum_.Clear();
-  ForEachNodeGpu([&](size_t n, size_t g) {
-    CellPartial& part = partials[ChunkIndex(n, g)];
-    gpusim::Device& dev = nodes_[n]->device(g);
-    core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
+  state_.accum.Clear();
+  core::ForEachCell(opts_.pool, state_.chunks.size(), [&](size_t c) {
+    CellPartial& part = partials[c];
+    gpusim::Device& dev = CellDevice(c);
+    core::ChunkState& chunk = state_.chunks[c];
     gpusim::Stream& compute = dev.stream(0);
 
-    const auto sampling = core::BillSamplingKernel(
-        dev, cfg_, chunk, pass.chunks[ChunkIndex(n, g)], &compute);
+    const auto sampling =
+        core::BillSamplingKernel(dev, cfg_, chunk, pass.chunks[c], &compute);
     part.sampling_s += sampling.time.total_s;
 
-    core::BillZeroPhiKernel(dev, cfg_, accum_, &compute);
-    core::RunUpdatePhiKernel(dev, cfg_, chunk, accum_, &compute);
+    core::BillZeroPhiKernel(dev, cfg_, state_.accum, &compute);
+    core::RunUpdatePhiKernel(dev, cfg_, chunk, state_.accum, &compute);
 
     gpusim::Stream& theta_stream = dev.stream(1);
     theta_stream.WaitUntil(sampling.end_s);
@@ -247,7 +207,7 @@ void ClusterTrainer::SweepSync(SweepStats& stats) {
   }
 
   // The synchronized accumulator becomes the next sweep's read model.
-  std::swap(model_, accum_);
+  std::swap(state_.model, state_.accum);
   stats.sync_s = SyncAndComputeNk();
 }
 
@@ -255,10 +215,10 @@ double ClusterTrainer::SyncAndComputeNk() {
   std::vector<gpusim::DeviceGroup*> groups;
   for (auto& node : nodes_) groups.push_back(node.get());
   const auto sync =
-      core::SynchronizePhiAcrossNodes(groups, cfg_, model_, fabric_);
-  model_.RecomputeTotals(opts_.pool);
-  ForEachNodeGpu([&](size_t n, size_t g) {
-    core::BillComputeNkKernel(nodes_[n]->device(g), cfg_, model_);
+      core::SynchronizePhiAcrossNodes(groups, cfg_, state_.model, fabric_);
+  state_.model.RecomputeTotals(opts_.pool);
+  core::ForEachCell(opts_.pool, state_.chunks.size(), [&](size_t c) {
+    core::BillComputeNkKernel(CellDevice(c), cfg_, state_.model);
   });
   for (auto& node : nodes_) node->Barrier();
   return sync.seconds;
@@ -283,8 +243,8 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
   }
   // Copies canonical's shard-s columns into node n's sampling view.
   auto refresh_view = [&](size_t n, size_t s) {
-    const auto src = canonical_.phi.Words(shards_[s].word_begin,
-                                          shards_[s].word_end);
+    const auto src = state_.model.phi.Words(shards_[s].word_begin,
+                                            shards_[s].word_end);
     std::copy(src.begin(), src.end(),
               views_[n].phi.Words(shards_[s].word_begin,
                                   shards_[s].word_end).begin());
@@ -296,7 +256,7 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
   // predecessor (who departed when its previous round ended), force-
   // refreshes any shard copy older than the staleness bound from that
   // shard's current holder, then distributes the fresh columns to its GPUs.
-  std::vector<std::vector<uint16_t>> snapshots(chunks_.size());
+  std::vector<std::vector<uint16_t>> snapshots(state_.chunks.size());
   for (size_t n = 0; n < n_count; ++n) {
     const size_t s_res = resident[n];
     double arrivals = node_round_end_[n];
@@ -368,7 +328,7 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
     // count deltas from (snapshot, new z). The slice is contiguous in the
     // word-first order, so this is one sub-range per chunk.
     for (size_t g = 0; g < g_count; ++g) {
-      const core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
+      const core::ChunkState& chunk = state_.chunks[ChunkIndex(n, g)];
       const uint64_t a = chunk.layout.word_offsets[shards_[s_res].word_begin];
       const uint64_t b = chunk.layout.word_offsets[shards_[s_res].word_end];
       snapshots[ChunkIndex(n, g)].assign(chunk.z.begin() + a,
@@ -378,14 +338,14 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
 
   // --- Phase B: sampling (parallel over the node×GPU grid; every cell owns
   // disjoint chunk/device state and reads its node's view immutably).
-  std::vector<CellPartial> partials(chunks_.size());
-  ForEachNodeGpu([&](size_t n, size_t g) {
-    CellPartial& part = partials[ChunkIndex(n, g)];
-    gpusim::Device& dev = nodes_[n]->device(g);
-    core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
-    std::vector<corpus::BlockWork>& filtered =
-        shard_work_[resident[n]][ChunkIndex(n, g)];
-    const uint64_t touched = snapshots[ChunkIndex(n, g)].size();
+  std::vector<CellPartial> partials(state_.chunks.size());
+  core::ForEachCell(opts_.pool, state_.chunks.size(), [&](size_t c) {
+    const size_t n = c / g_count;
+    CellPartial& part = partials[c];
+    gpusim::Device& dev = CellDevice(c);
+    core::ChunkState& chunk = state_.chunks[c];
+    std::vector<corpus::BlockWork>& filtered = shard_work_[resident[n]][c];
+    const uint64_t touched = snapshots[c].size();
     gpusim::Stream& compute = dev.stream(0);
 
     // Restrict the kernel to the resident shard's words by swapping in the
@@ -433,7 +393,7 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
   for (size_t n = 0; n < n_count; ++n) {
     const size_t s_res = resident[n];
     for (size_t g = 0; g < g_count; ++g) {
-      const core::ChunkState& chunk = chunks_[ChunkIndex(n, g)];
+      const core::ChunkState& chunk = state_.chunks[ChunkIndex(n, g)];
       const std::vector<uint16_t>& old_z = snapshots[ChunkIndex(n, g)];
       const uint64_t a = chunk.layout.word_offsets[shards_[s_res].word_begin];
       for (uint64_t i = 0; i < old_z.size(); ++i) {
@@ -442,15 +402,15 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
         const uint16_t next = chunk.z[t];
         if (prev == next) continue;
         const uint32_t w = chunk.layout.token_word[t];
-        uint16_t& dec = canonical_.phi(prev, w);
+        uint16_t& dec = state_.model.phi(prev, w);
         CULDA_CHECK_MSG(dec > 0, "phi count underflow folding round delta");
         --dec;
-        uint16_t& inc = canonical_.phi(next, w);
+        uint16_t& inc = state_.model.phi(next, w);
         CULDA_CHECK_MSG(inc < 0xFFFF,
                         "phi count overflowed 16 bits folding round delta");
         ++inc;
-        --canonical_.nk[prev];
-        ++canonical_.nk[next];
+        --state_.model.nk[prev];
+        ++state_.model.nk[next];
       }
     }
     // The node's own updates live in its local shard copy: keep its view of
@@ -463,44 +423,8 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
   }
 }
 
-core::GatheredModel ClusterTrainer::Gather() const {
-  core::GatheredModel model;
-  model.num_topics = cfg_.num_topics;
-  model.vocab_size = corpus_->vocab_size();
-  model.num_docs = corpus_->num_docs();
-  model.theta = core::ThetaMatrix(corpus_->num_docs(), cfg_.num_topics);
-  core::ThetaMatrix::RowBuilder builder(&model.theta);
-  size_t next_doc = 0;
-  for (const auto& chunk : chunks_) {
-    CULDA_CHECK(chunk.layout.spec.doc_begin == next_doc);
-    for (uint64_t d = 0; d < chunk.num_docs(); ++d) {
-      builder.AppendRow(next_doc++, chunk.theta.RowIndices(d),
-                        chunk.theta.RowValues(d));
-    }
-  }
-  builder.Finish();
-  if (opts_.mode == DistMode::kAsync) {
-    model.phi = canonical_.phi;
-    model.nk = canonical_.nk;
-  } else {
-    model.phi = model_.phi;
-    model.nk = model_.nk;
-  }
-  return model;
-}
-
 double ClusterTrainer::LogLikelihoodPerToken() const {
   return core::LogLikelihoodPerToken(Gather(), cfg_, opts_.pool);
-}
-
-std::vector<uint16_t> ClusterTrainer::ExportAssignments() const {
-  std::vector<uint16_t> z(corpus_->num_tokens());
-  for (const auto& chunk : chunks_) {
-    for (uint64_t t = 0; t < chunk.z.size(); ++t) {
-      z[chunk.layout.token_global[t]] = chunk.z[t];
-    }
-  }
-  return z;
 }
 
 }  // namespace culda::dist

@@ -42,6 +42,7 @@
 #include "core/config.hpp"
 #include "core/kernels.hpp"
 #include "core/model.hpp"
+#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/fabric.hpp"
 #include "gpusim/multi_gpu.hpp"
@@ -134,26 +135,28 @@ class ClusterTrainer {
   uint32_t max_observed_staleness() const { return max_observed_staleness_; }
 
   /// Collects the trained model (θ over all documents + global φ).
-  core::GatheredModel Gather() const;
+  core::GatheredModel Gather() const { return state_.Gather(); }
   double LogLikelihoodPerToken() const;
 
   /// Topic assignments in corpus document-major order (comparable across
   /// modes, node counts, and worker counts).
-  std::vector<uint16_t> ExportAssignments() const;
+  std::vector<uint16_t> ExportAssignments() const {
+    return state_.ExportAssignments();
+  }
 
  private:
-  struct NodeState;
-
   void BuildChunks();
   void InitializeModel();
-  /// Runs fn(n, g) over the whole node×GPU grid — pool-parallel when a pool
-  /// is set (each cell owns disjoint chunk/device state), sequential
-  /// otherwise. Callers reduce per-cell partials in fixed order afterwards.
-  void ForEachNodeGpu(const std::function<void(size_t, size_t)>& fn);
+  /// Device of cell c = n·G + g of the node×GPU grid: node n, GPU g. The
+  /// grid runs through core::ForEachCell (each cell owns disjoint
+  /// chunk/device state; callers reduce per-cell partials in fixed order).
+  gpusim::Device& CellDevice(size_t c) {
+    return nodes_[c / opts_.gpus.size()]->device(c % opts_.gpus.size());
+  }
   void SweepSync(SweepStats& stats);
-  /// kSync: bills the φ all-reduce on every node, computes n_k of model_
-  /// once and bills compute_nk on every device, then barriers every node.
-  /// Returns the sync's seconds.
+  /// kSync: bills the φ all-reduce on every node, computes n_k of the read
+  /// model once and bills compute_nk on every device, then barriers every
+  /// node. Returns the sync's seconds.
   double SyncAndComputeNk();
   void SweepAsync(SweepStats& stats);
   /// One async round: route shards (sequential), sample resident slices
@@ -169,25 +172,16 @@ class ClusterTrainer {
   ClusterOptions opts_;
   std::vector<std::unique_ptr<gpusim::DeviceGroup>> nodes_;
   gpusim::Fabric fabric_;
-  std::vector<core::ChunkState> chunks_;  ///< N·G, node-major
-
-  // kSync state: the φ double buffer, one host copy standing for all N·G
-  // device replicas, as in CuldaTrainer. `model_` is the synchronized model
-  // every cell samples against; `accum_` collects every cell's new counts
-  // (update_phi's adds are atomic, so concurrent cells share it) and becomes
-  // `model_` after the sync. After the all-reduce every replica would hold
-  // the same bits; the kernels, the intra-node trees and the fabric ring
-  // are still billed per device and per node.
-  core::PhiReplica model_;
-  core::PhiReplica accum_;
+  /// N·G chunks, node-major. kSync double-buffers φ as CuldaTrainer does,
+  /// one host copy standing for all N·G replicas (kernels, intra-node trees
+  /// and the fabric ring are still billed per device and per node). kAsync
+  /// keeps only the read model, as the canonical model: consistent with z
+  /// at all times (phase C folds in every round's deltas), the host's
+  /// stand-in for the union of the shards' current holders.
+  core::TrainingState state_;
 
   // kAsync state.
   std::vector<corpus::WordRange> shards_;  ///< N contiguous word ranges
-  /// Canonical host-side model: always consistent with the current z (every
-  /// round's deltas are folded in during phase C). The "current holder" of a
-  /// shard owns its canonical columns; the host array is the simulator's
-  /// stand-in for the union of all holders.
-  core::PhiReplica canonical_;
   /// Per-node sampling view: φ whose shard-s columns reflect the canonical
   /// model as of round last_refresh_[n][s]. These are real staleness copies
   /// (each node samples against its own mix of shard ages), so async mode

@@ -1,12 +1,16 @@
 // Tests for the comparison solvers: exact CGS, SparseLDA, WarpLDA-like MH,
-// the dense GPU baseline, and the distributed model.
+// the GPU baselines, and the distributed model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "baselines/cpu_cgs.hpp"
 #include "baselines/distributed.hpp"
 #include "baselines/gpu_dense.hpp"
+#include "baselines/saber_gpu.hpp"
 #include "baselines/sparse_lda.hpp"
 #include "baselines/warp_mh.hpp"
+#include "core/trainer.hpp"
 #include "corpus/synthetic.hpp"
 
 namespace culda::baselines {
@@ -197,6 +201,41 @@ TEST(GpuDense, TracksSimulatedTime) {
   solver.Step();
   EXPECT_GT(solver.ModeledSeconds(), 0.0);
   EXPECT_GT(solver.last_tokens_per_sec(), 0.0);
+}
+
+// ---------------------------------------------------------- GpuBaselines --
+
+void ExpectSameModel(const core::GatheredModel& got,
+                     const core::GatheredModel& want, const char* name) {
+  ASSERT_EQ(got.theta.rows(), want.theta.rows()) << name;
+  for (size_t d = 0; d < want.theta.rows(); ++d) {
+    const auto gi = got.theta.RowIndices(d), wi = want.theta.RowIndices(d);
+    const auto gv = got.theta.RowValues(d), wv = want.theta.RowValues(d);
+    ASSERT_TRUE(std::equal(gi.begin(), gi.end(), wi.begin(), wi.end()) &&
+                std::equal(gv.begin(), gv.end(), wv.begin(), wv.end()))
+        << name << ": θ row " << d;
+  }
+  const auto gp = got.phi.flat(), wp = want.phi.flat();
+  EXPECT_TRUE(std::equal(gp.begin(), gp.end(), wp.begin(), wp.end()))
+      << name << ": φ";
+  EXPECT_EQ(got.nk, want.nk) << name << ": n_k";
+}
+
+TEST(GpuBaselines, StartFromTheTrainersInitialState) {
+  // Before any Step(), both GPU baselines hold CuldaTrainer's initial state
+  // for the same corpus and seed: the same keyed topic draw per token,
+  // whatever the chunking, so the same θ, φ and n_k.
+  const auto c = TestCorpus();
+  core::CuldaConfig cfg = TestConfig();
+  cfg.seed = 77;
+  core::TrainerOptions opts;
+  opts.gpus.assign(2, gpusim::V100Volta());
+  const core::GatheredModel want = core::CuldaTrainer(c, cfg, opts).Gather();
+
+  ExpectSameModel(GpuDenseLda(c, cfg, gpusim::TitanXMaxwell()).Gather(), want,
+                  "GpuDenseLda");
+  ExpectSameModel(SaberGpuLda(c, cfg, gpusim::TitanXMaxwell()).Gather(), want,
+                  "SaberGpuLda");
 }
 
 // ----------------------------------------------------------- Distributed --

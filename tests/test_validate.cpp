@@ -9,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include "baselines/gpu_dense.hpp"
+#include "baselines/saber_gpu.hpp"
 #include "core/trainer.hpp"
 #include "core/word_partition.hpp"
 #include "corpus/chunking.hpp"
@@ -288,8 +290,8 @@ TEST(Validate, BitIdenticalWithAndWithoutValidation) {
 TEST(Validate, HeavyWordCorpusFailsLoudly) {
   // One word with 70000 occurrences: its φ cell could legally reach 70000 >
   // 65535 if training concentrates it on one topic, silently wrapping the
-  // 16-bit count. Every trainer must refuse the corpus up front, with the
-  // same message.
+  // 16-bit count. Every trainer and GPU baseline must refuse the corpus up
+  // front, with the same message.
   constexpr uint64_t kDocs = 100;
   constexpr uint64_t kHeavyPerDoc = 700;  // 70000 total
   std::vector<uint64_t> offsets = {0};
@@ -310,10 +312,19 @@ TEST(Validate, HeavyWordCorpusFailsLoudly) {
               heavy, SmallConfig(),
               std::vector<gpusim::DeviceSpec>(2, gpusim::V100Volta()));
         }},
-       {"ClusterTrainer", [&] {
+       {"ClusterTrainer",
+        [&] {
           dist::ClusterOptions opts;
           opts.mode = dist::DistMode::kSync;
           dist::ClusterTrainer trainer(heavy, SmallConfig(), opts);
+        }},
+       {"GpuDenseLda",
+        [&] {
+          baselines::GpuDenseLda solver(heavy, SmallConfig(),
+                                        gpusim::TitanXMaxwell());
+        }},
+       {"SaberGpuLda", [&] {
+          baselines::SaberGpuLda solver(heavy, SmallConfig());
         }}};
   for (const auto& [name, construct] : trainers) {
     try {
