@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
       "Warps (samplers) per block and heavy-word split size; NYTimes "
       "profile, Pascal.");
 
-  const auto profile =
-      bench::NyTimesBenchProfile(flags.GetDouble("scale", 0.5));
+  const auto profile = bench::NyTimesBenchProfile(
+      flags.GetDouble("scale", bench::kDefaultScale));
   const auto corpus = bench::MakeCorpus(flags, profile, "nytimes");
   const int iters = static_cast<int>(flags.GetInt("iters", 3));
   core::CuldaConfig cfg = bench::BenchConfig(flags);

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
                      "16-bit θ indices & φ counters vs 32-bit, NYTimes "
                      "profile on Pascal.");
 
-  const auto profile =
-      bench::NyTimesBenchProfile(flags.GetDouble("scale", 0.5));
+  const auto profile = bench::NyTimesBenchProfile(
+      flags.GetDouble("scale", bench::kDefaultScale));
   const auto corpus = bench::MakeCorpus(flags, profile, "nytimes");
   const int iters = static_cast<int>(flags.GetInt("iters", 5));
   core::CuldaConfig cfg = bench::BenchConfig(flags);

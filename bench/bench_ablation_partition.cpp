@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   // The table rows' corpora grow with --scale, and so does their heaviest
   // word: 0.3 keeps it near 47,000, under the 16-bit φ count cap that
   // MakeCorpus checks.
-  const double scale = flags.GetDouble("scale", 0.3);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   bench::PrintBanner(
       "Ablation A4 — workload partition policy (Section 4)",
       "Per-iteration model-sync volume: partition-by-document syncs phi "

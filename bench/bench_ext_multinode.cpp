@@ -21,6 +21,7 @@
 // external anchor. Emits BENCH_ext_multinode.json; the exit code gates two
 // contracts — worker-count bit-identity of the async schedule, and the
 // staleness bound actually holding.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -53,24 +54,22 @@ struct ModeCurve {
   uint64_t z_checksum = 0;
 };
 
-ModeCurve RunSingle(const corpus::Corpus& corpus,
-                    const core::CuldaConfig& cfg, int total_gpus,
-                    int sweeps) {
-  core::TrainerOptions opts;
-  opts.gpus.assign(total_gpus, gpusim::V100Volta());
-  opts.chunks_per_gpu = 1;
-  core::CuldaTrainer trainer(corpus, cfg, opts);
+/// Sweeps `solver` and records its convergence curve; the network and
+/// staleness fields stay 0 for the single machine.
+ModeCurve RunCurve(core::LdaSolver& solver, const std::string& name,
+                   int sweeps) {
   ModeCurve curve;
-  curve.name = "single";
-  double cum = 0;
+  curve.name = name;
   for (int i = 0; i < sweeps; ++i) {
-    const auto st = trainer.Step();
-    cum += st.sim_seconds;
-    curve.cum_sim_s.push_back(cum);
+    const core::IterationStats st = solver.Step();
+    curve.cum_sim_s.push_back(solver.ModeledSeconds());
     curve.sweep_sim_s.push_back(st.sim_seconds);
-    curve.ll.push_back(trainer.LogLikelihoodPerToken());
+    curve.ll.push_back(solver.LogLikelihoodPerToken());
+    curve.network_payload += st.network_payload_bytes;
+    curve.network_wire += st.network_wire_bytes;
+    curve.max_staleness = std::max(curve.max_staleness, st.max_staleness);
   }
-  curve.z_checksum = Fnv1a(trainer.ExportAssignments());
+  curve.z_checksum = Fnv1a(solver.ExportAssignments());
   return curve;
 }
 
@@ -78,19 +77,7 @@ ModeCurve RunCluster(const corpus::Corpus& corpus,
                      const core::CuldaConfig& cfg,
                      const dist::ClusterOptions& opts, int sweeps) {
   dist::ClusterTrainer trainer(corpus, cfg, opts);
-  ModeCurve curve;
-  curve.name = dist::DistModeName(opts.mode);
-  for (int i = 0; i < sweeps; ++i) {
-    const auto st = trainer.Sweep();
-    curve.cum_sim_s.push_back(trainer.Now());
-    curve.sweep_sim_s.push_back(st.sim_seconds);
-    curve.ll.push_back(trainer.LogLikelihoodPerToken());
-  }
-  curve.network_payload = trainer.fabric().payload_bytes();
-  curve.network_wire = trainer.fabric().wire_bytes();
-  curve.max_staleness = trainer.max_observed_staleness();
-  curve.z_checksum = Fnv1a(trainer.ExportAssignments());
-  return curve;
+  return RunCurve(trainer, dist::DistModeName(opts.mode), sweeps);
 }
 
 /// First cluster-clock time at which `curve` reaches `target` ll (-1 if it
@@ -128,7 +115,7 @@ int main(int argc, char** argv) {
   // Default scale keeps the heaviest word under the 16-bit φ count cap
   // (the full-scale profile's top word alone exceeds 65535 occurrences).
   corpus::SyntheticProfile profile =
-      bench::PubMedBenchProfile(flags.GetDouble("scale", 0.3));
+      bench::PubMedBenchProfile(flags.GetDouble("scale", bench::kDefaultScale));
   profile.vocab_size = 6000;
   core::CuldaConfig cfg = bench::BenchConfig(flags);
   const auto corpus = bench::MakeCorpus(flags, profile, "pubmed");
@@ -169,7 +156,11 @@ int main(int argc, char** argv) {
                               ? dist::kUnboundedStaleness
                               : static_cast<uint32_t>(staleness);
 
-  const ModeCurve single = RunSingle(corpus, cfg, nodes * gpus, sweeps);
+  core::TrainerOptions topts;
+  topts.gpus.assign(nodes * gpus, gpusim::V100Volta());
+  topts.chunks_per_gpu = 1;
+  core::CuldaTrainer single_trainer(corpus, cfg, topts);
+  const ModeCurve single = RunCurve(single_trainer, "single", sweeps);
   copts.mode = dist::DistMode::kSync;
   const ModeCurve sync = RunCluster(corpus, cfg, copts, sweeps);
   copts.mode = dist::DistMode::kAsync;

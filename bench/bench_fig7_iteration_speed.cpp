@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   const int iters = static_cast<int>(flags.GetInt("iters", 30));
   const int warp_iters = static_cast<int>(flags.GetInt("warp-iters", 5));
-  const double scale = flags.GetDouble("scale", 0.3);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   core::CuldaConfig cfg = bench::BenchConfig(flags);
 
   struct Dataset {
@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
     baselines::WarpMhSampler warp(d.corpus, cfg);
     std::vector<double> wseries;
     for (int i = 0; i < warp_iters; ++i) {
-      warp.Step();
-      wseries.push_back(warp.last_tokens_per_sec());
+      wseries.push_back(warp.Step().tokens_per_sec);
     }
     PrintSeries(d.name, "WarpLDA(CPU)", wseries);
     std::printf("\n");

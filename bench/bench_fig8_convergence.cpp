@@ -34,6 +34,7 @@ namespace {
 struct Trace {
   std::string solver;
   std::vector<std::pair<double, double>> points;  // (seconds, ll/token)
+  double last_tokens_per_sec = 0;  ///< modeled throughput of the last step
 
   /// First time the trace reaches `target` ll; +inf if never.
   double TimeTo(double target) const {
@@ -44,24 +45,10 @@ struct Trace {
   }
 };
 
-Trace RunCulda(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
-               const gpusim::DeviceSpec& spec, int iters) {
-  core::TrainerOptions opts;
-  opts.gpus = {spec};
-  core::CuldaTrainer trainer(corpus, cfg, opts);
-  Trace trace{"CuLDA/" + spec.name, {}};
-  double t = 0;
-  for (int i = 0; i < iters; ++i) {
-    t += trainer.Step().sim_seconds;
-    trace.points.emplace_back(t, trainer.LogLikelihoodPerToken());
-  }
-  return trace;
-}
-
-Trace RunSolver(baselines::LdaSolver& solver, int iters) {
+Trace RunSolver(core::LdaSolver& solver, int iters) {
   Trace trace{solver.name(), {}};
   for (int i = 0; i < iters; ++i) {
-    solver.Step();
+    trace.last_tokens_per_sec = solver.Step().tokens_per_sec;
     trace.points.emplace_back(solver.ModeledSeconds(),
                               solver.LogLikelihoodPerToken());
   }
@@ -108,7 +95,7 @@ int main(int argc, char** argv) {
 
   const int iters = static_cast<int>(flags.GetInt("iters", 20));
   const int cpu_iters = static_cast<int>(flags.GetInt("cpu-iters", iters));
-  const double scale = flags.GetDouble("scale", 0.5);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   core::CuldaConfig cfg = bench::BenchConfig(flags);
 
   struct Dataset {
@@ -132,12 +119,15 @@ int main(int argc, char** argv) {
                 cfg.num_topics);
     std::vector<Trace> traces;
     for (const auto& spec : bench::AllPlatforms()) {
-      traces.push_back(RunCulda(d.corpus, cfg, spec, iters));
+      core::TrainerOptions opts;
+      opts.gpus = {spec};
+      core::CuldaTrainer trainer(d.corpus, cfg, opts);
+      traces.push_back(RunSolver(trainer, iters));
     }
     {
       baselines::WarpMhSampler warp(d.corpus, cfg);
       traces.push_back(RunSolver(warp, cpu_iters));
-      const double node_tps = warp.last_tokens_per_sec();
+      const double node_tps = traces.back().last_tokens_per_sec;
       baselines::SparseLdaCgs sparse(d.corpus, cfg);
       traces.push_back(RunSolver(sparse, cpu_iters));
       baselines::FPlusLda fplus(d.corpus, cfg);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   // fraction of an iteration, which is what makes 4-GPU scaling possible.
   // Defaults here pick a larger corpus and a proportionally smaller model;
   // all overridable.
-  const double scale = flags.GetDouble("scale", 0.3);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   const int iters = static_cast<int>(flags.GetInt("iters", 10));
   core::CuldaConfig cfg = bench::BenchConfig(flags);
   if (!flags.Has("topics")) cfg.num_topics = 128;

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       "4 simulated GPUs, WS1, ThreadPool of 0/1/2/4 workers, pinned and "
       "unpinned; model state and simulated times must not change.");
 
-  const double scale = flags.GetDouble("scale", 0.5);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   const int iters = static_cast<int>(flags.GetInt("iters", 4));
   const int gpus = static_cast<int>(flags.GetInt("gpus", 4));
   const std::string out_path =

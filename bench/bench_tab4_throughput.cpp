@@ -23,27 +23,11 @@ using namespace culda;
 
 namespace {
 
-double CuldaThroughput(const corpus::Corpus& corpus,
-                       const core::CuldaConfig& cfg,
-                       const gpusim::DeviceSpec& spec, int iters) {
-  core::TrainerOptions opts;
-  opts.gpus = {spec};
-  core::CuldaTrainer trainer(corpus, cfg, opts);
+/// Mean modeled tokens/s over `iters` steps of `solver`, averaged from
+/// iteration 0 as the paper does.
+double MeanThroughput(core::LdaSolver& solver, int iters) {
   std::vector<double> tps;
-  for (int i = 0; i < iters; ++i) {
-    tps.push_back(trainer.Step().tokens_per_sec);
-  }
-  return bench::MeanAfterWarmup(tps, 0);  // paper averages from iteration 0
-}
-
-double WarpThroughput(const corpus::Corpus& corpus,
-                      const core::CuldaConfig& cfg, int iters) {
-  baselines::WarpMhSampler solver(corpus, cfg);
-  std::vector<double> tps;
-  for (int i = 0; i < iters; ++i) {
-    solver.Step();
-    tps.push_back(solver.last_tokens_per_sec());
-  }
+  for (int i = 0; i < iters; ++i) tps.push_back(solver.Step().tokens_per_sec);
   return bench::MeanAfterWarmup(tps, 0);
 }
 
@@ -76,7 +60,7 @@ int main(int argc, char** argv) {
   }
 
   const int iters = static_cast<int>(flags.GetInt("iters", 20));
-  const double scale = flags.GetDouble("scale", 0.3);
+  const double scale = flags.GetDouble("scale", bench::kDefaultScale);
   core::CuldaConfig cfg = bench::BenchConfig(flags);
   const int warp_iters =
       static_cast<int>(flags.GetInt("warp-iters", std::min(iters, 5)));
@@ -109,9 +93,13 @@ int main(int argc, char** argv) {
   for (const auto& d : datasets) {
     std::vector<double> gpu;
     for (const auto& spec : bench::AllPlatforms()) {
-      gpu.push_back(CuldaThroughput(d.corpus, cfg, spec, iters));
+      core::TrainerOptions opts;
+      opts.gpus = {spec};
+      core::CuldaTrainer trainer(d.corpus, cfg, opts);
+      gpu.push_back(MeanThroughput(trainer, iters));
     }
-    const double warp = WarpThroughput(d.corpus, cfg, warp_iters);
+    baselines::WarpMhSampler warp_solver(d.corpus, cfg);
+    const double warp = MeanThroughput(warp_solver, warp_iters);
     table.AddRow({d.name, TextTable::Num(gpu[0] / 1e6, 4),
                   TextTable::Num(gpu[1] / 1e6, 4),
                   TextTable::Num(gpu[2] / 1e6, 4),
@@ -126,16 +114,10 @@ int main(int argc, char** argv) {
   {
     baselines::SaberGpuLda saber(datasets[0].corpus, cfg,
                                  gpusim::TitanXMaxwell());
-    double tps = 0;
-    const int saber_iters = std::min(iters, 5);
-    for (int i = 0; i < saber_iters; ++i) {
-      saber.Step();
-      tps += saber.last_tokens_per_sec();
-    }
     std::printf(
         "\nSaberLDA-like (NYTimes, Titan tier): %.1f M tokens/s "
         "(paper cites SaberLDA at 120M on GTX 1080; CuLDA must beat it)\n",
-        tps / saber_iters / 1e6);
+        MeanThroughput(saber, std::min(iters, 5)) / 1e6);
   }
 
   std::printf(

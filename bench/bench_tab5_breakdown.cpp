@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
                      "Fractions of per-iteration kernel time by function; "
                      "paper values right.");
 
-  const auto profile =
-      bench::NyTimesBenchProfile(flags.GetDouble("scale", 0.3));
+  const auto profile = bench::NyTimesBenchProfile(
+      flags.GetDouble("scale", bench::kDefaultScale));
   const auto corpus = bench::MakeCorpus(flags, profile, "nytimes");
   const int iters = static_cast<int>(flags.GetInt("iters", 10));
   core::CuldaConfig cfg = bench::BenchConfig(flags);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "core/training_state.hpp"
 #include "corpus/uci_reader.hpp"
 #include "util/check.hpp"
 
@@ -33,17 +34,13 @@ corpus::Corpus MakeCorpus(const CliFlags& flags,
   }
   corpus::Corpus corpus = uci.empty() ? corpus::GenerateCorpus(profile)
                                       : corpus::ReadUciBagOfWordsFile(uci);
-  // Every trainer rejects a word past the 16-bit φ count cap (ROADMAP item
-  // 5); name it before any work rather than end on the uncaught error.
-  const std::vector<uint64_t> freq = corpus.WordFrequencies();
-  for (size_t v = 0; v < freq.size(); ++v) {
-    if (freq[v] > 0xFFFF) {
-      std::fprintf(stderr,
-                   "error: word %zu occurs %llu times, over the 65535 cap "
-                   "of 16-bit phi counts; lower --scale\n",
-                   v, static_cast<unsigned long long>(freq[v]));
-      std::exit(1);
-    }
+  // Every solver rejects a word past the 16-bit φ count cap; name it before
+  // any work rather than end on the uncaught error.
+  try {
+    core::CheckTrainable(corpus);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s; lower --scale\n", e.what());
+    std::exit(1);
   }
   return corpus;
 }

@@ -27,8 +27,14 @@ namespace culda::bench {
 corpus::SyntheticProfile NyTimesBenchProfile(double scale_mult = 1.0);
 corpus::SyntheticProfile PubMedBenchProfile(double scale_mult = 1.0);
 
+/// The `--scale` every bench defaults to (NYTimes: ~0.6M tokens). At 0.5
+/// the NYTimes profile's heaviest word passes the 16-bit φ count cap; the
+/// ctest Validate.BenchDefaultProfilesFitPhiCap keeps this default under it.
+inline constexpr double kDefaultScale = 0.3;
+
 /// Generates the corpus for a profile, honouring `--uci-<name>=<path>` to
-/// substitute the real UCI dump when available.
+/// substitute the real UCI dump when available. Exits 1 with the trainers'
+/// own message (core::CheckTrainable) when a word passes the φ count cap.
 corpus::Corpus MakeCorpus(const CliFlags& flags,
                           const corpus::SyntheticProfile& profile,
                           const std::string& flag_name);

@@ -2,18 +2,18 @@
 
 #include "util/philox.hpp"
 #include "util/prefix_sum.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::baselines {
 
 CpuCgs::CpuCgs(const corpus::Corpus& corpus, const core::CuldaConfig& cfg)
-    : seed_(cfg.seed) {
-  cfg.Validate();
-  state_.Initialize(corpus, cfg.num_topics, cfg.EffectiveAlpha(), cfg.beta,
-                    cfg.seed);
-  cdf_.resize(cfg.num_topics);
+    : CpuStateSolver(corpus, cfg) {
+  core::RequireSymmetricAlpha(cfg_, name());
+  cdf_.resize(cfg_.num_topics);
 }
 
-void CpuCgs::Step() {
+core::IterationStats CpuCgs::Step() {
+  Stopwatch wall;
   CpuLdaState& s = state_;
   const corpus::Corpus& c = *s.corpus;
   const uint32_t k_topics = s.num_topics;
@@ -48,7 +48,8 @@ void CpuCgs::Step() {
       cost.RandomReads(k_topics, 4);
       cost.Flops(4ull * k_topics);
 
-      PhiloxStream rng(seed_, (static_cast<uint64_t>(iteration_) << 40) ^ t);
+      PhiloxStream rng(cfg_.seed,
+                       (static_cast<uint64_t>(iteration_) << 40) ^ t);
       const double u = rng.NextDouble() * total;
       const uint16_t new_k = static_cast<uint16_t>(UpperBoundSearch(
           std::span<const double>(cdf_.data(), k_topics), u));
@@ -62,9 +63,7 @@ void CpuCgs::Step() {
     }
   }
 
-  const double step_s = cost.Seconds();
-  modeled_seconds_ += step_s;
-  last_tokens_per_sec_ = static_cast<double>(c.num_tokens()) / step_s;
+  return FinishStep(cost.Seconds(), wall.Seconds());
 }
 
 }  // namespace culda::baselines

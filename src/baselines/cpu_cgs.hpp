@@ -8,30 +8,18 @@
 #pragma once
 
 #include "baselines/cpu_state.hpp"
-#include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 
 namespace culda::baselines {
 
-class CpuCgs : public LdaSolver {
+class CpuCgs final : public CpuStateSolver {
  public:
   CpuCgs(const corpus::Corpus& corpus, const core::CuldaConfig& cfg);
 
   std::string name() const override { return "CGS (CPU, exact O(K))"; }
-  void Step() override;
-  double ModeledSeconds() const override { return modeled_seconds_; }
-  double LogLikelihoodPerToken() const override {
-    return state_.LogLikelihoodPerToken();
-  }
-  uint64_t num_tokens() const override { return state_.corpus->num_tokens(); }
-
-  const CpuLdaState& state() const { return state_; }
+  core::IterationStats Step() override;
 
  private:
-  CpuLdaState state_;
-  uint64_t seed_;
-  uint32_t iteration_ = 0;
-  double modeled_seconds_ = 0;
   std::vector<double> cdf_;  ///< scratch, length K
 };
 

@@ -92,4 +92,46 @@ void CpuLdaState::Validate() const {
   CULDA_CHECK(grand == static_cast<int64_t>(corpus->num_tokens()));
 }
 
+core::GatheredModel CpuStateSolver::Gather() const {
+  const corpus::Corpus& corpus = *state_.corpus;
+  // A φ cell never exceeds its word's corpus frequency.
+  core::CheckTrainable(corpus);
+  const uint32_t k_topics = state_.num_topics;
+  core::GatheredModel out;
+  out.num_topics = k_topics;
+  out.vocab_size = corpus.vocab_size();
+  out.num_docs = corpus.num_docs();
+  out.theta = core::ThetaMatrix(corpus.num_docs(), k_topics);
+  out.theta.AssignFromDense([&](size_t d, std::span<int32_t> row) {
+    for (uint32_t k = 0; k < k_topics; ++k) row[k] = state_.nd(d, k);
+  });
+  out.phi = core::WordMajorPhi(k_topics, corpus.vocab_size());
+  for (uint32_t k = 0; k < k_topics; ++k) {
+    for (uint32_t v = 0; v < corpus.vocab_size(); ++v) {
+      out.phi(k, v) = static_cast<uint16_t>(state_.nw(k, v));
+    }
+  }
+  out.nk.assign(state_.nk.begin(), state_.nk.end());
+  return out;
+}
+
+CpuStateSolver::CpuStateSolver(const corpus::Corpus& corpus,
+                               const core::CuldaConfig& cfg)
+    : cfg_(cfg) {
+  cfg_.Validate();
+  state_.Initialize(corpus, cfg_.num_topics, cfg_.EffectiveAlpha(), cfg_.beta,
+                    cfg_.seed);
+}
+
+core::IterationStats CpuStateSolver::FinishStep(double step_s,
+                                                double wall_s) {
+  core::IterationStats stats;
+  stats.iteration = iteration_ - 1;
+  stats.sim_seconds = step_s;
+  stats.wall_seconds = wall_s;
+  core::SetThroughput(stats, num_tokens());
+  modeled_seconds_ += step_s;
+  return stats;
+}
+
 }  // namespace culda::baselines

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/solver.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/cost_model.hpp"
 #include "sparse/dense.hpp"
@@ -41,11 +42,47 @@ struct CpuLdaState {
   void Initialize(const corpus::Corpus& c, uint32_t k_topics, double a,
                   double b, uint64_t seed);
 
-  /// Joint log-likelihood per token (same metric as core::Evaluator).
+  /// Joint log-likelihood per token (same metric as core::Evaluator), the
+  /// one dense scorer of the CPU solvers.
   double LogLikelihoodPerToken() const;
 
   /// Count-consistency invariants; throws on violation. O(D·K + K·V).
   void Validate() const;
+};
+
+/// A CPU solver over one CpuLdaState (exact CGS, SparseLDA, F+LDA,
+/// WarpLDA-like MH): modeled time, score and gathered model come from the
+/// dense counts.
+class CpuStateSolver : public core::LdaSolver {
+ public:
+  double ModeledSeconds() const final { return modeled_seconds_; }
+  double LogLikelihoodPerToken() const final {
+    return state_.LogLikelihoodPerToken();
+  }
+  uint64_t num_tokens() const final { return state_.corpus->num_tokens(); }
+  const core::CuldaConfig& config() const final { return cfg_; }
+  /// Throws culda::Error (core::CheckTrainable) when a word occurs more
+  /// often than a 16-bit φ count can hold.
+  core::GatheredModel Gather() const final;
+  /// z is kept in corpus order already.
+  std::vector<uint16_t> ExportAssignments() const final { return state_.z; }
+
+  const CpuLdaState& state() const { return state_; }
+
+ protected:
+  /// Validates `cfg` and seeds the state with the keyed initial topics.
+  CpuStateSolver(const corpus::Corpus& corpus, const core::CuldaConfig& cfg);
+
+  /// The stats of the sweep just run (iteration_ already counts it), whose
+  /// modeled seconds are `step_s`; adds them to ModeledSeconds().
+  core::IterationStats FinishStep(double step_s, double wall_s);
+
+  core::CuldaConfig cfg_;
+  CpuLdaState state_;
+  uint32_t iteration_ = 0;  ///< sweeps started: the running sweep's Philox key
+
+ private:
+  double modeled_seconds_ = 0;
 };
 
 /// Accumulates billed traffic for a CPU sweep and converts it to modeled

@@ -1,44 +1,24 @@
 #include "baselines/fplus_lda.hpp"
 
-#include <cmath>
+#include <algorithm>
 
-#include "core/training_state.hpp"
 #include "corpus/chunking.hpp"
 #include "util/philox.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::baselines {
 
 FPlusLda::FPlusLda(const corpus::Corpus& corpus,
                    const core::CuldaConfig& cfg)
-    : corpus_(&corpus),
-      cfg_(cfg),
-      alpha_(cfg.EffectiveAlpha()),
-      beta_(cfg.beta),
-      q_tree_(cfg.num_topics) {
-  cfg_.Validate();
+    : CpuStateSolver(corpus, cfg), q_tree_(cfg.num_topics) {
+  core::RequireSymmetricAlpha(cfg_, name());
   layout_ = corpus::BuildWordFirstChunk(
       corpus, corpus::PartitionByTokens(corpus, 1)[0]);
-
-  const uint32_t k_topics = cfg_.num_topics;
-  z_.resize(layout_.num_tokens());
-  nd_ = sparse::DenseMatrix<int32_t>(corpus.num_docs(), k_topics);
-  nw_ = sparse::DenseMatrix<int32_t>(k_topics, corpus.vocab_size());
-  nk_.assign(k_topics, 0);
   doc_topics_.resize(corpus.num_docs());
-
-  for (uint64_t t = 0; t < z_.size(); ++t) {
-    const uint16_t k =
-        core::InitialTopic(cfg_.seed, layout_.token_global[t], k_topics);
-    z_[t] = k;
-    const uint32_t d = layout_.token_doc[t];
-    ++nd_(d, k);
-    ++nw_(k, layout_.token_word[t]);
-    ++nk_[k];
-  }
   for (size_t d = 0; d < corpus.num_docs(); ++d) {
-    for (uint32_t k = 0; k < k_topics; ++k) {
-      if (nd_(d, k) != 0) {
-        doc_topics_[d].push_back({static_cast<uint16_t>(k), nd_(d, k)});
+    for (uint32_t k = 0; k < cfg_.num_topics; ++k) {
+      if (state_.nd(d, k) != 0) {
+        doc_topics_[d].push_back({static_cast<uint16_t>(k), state_.nd(d, k)});
       }
     }
   }
@@ -69,10 +49,13 @@ void FPlusLda::IncDoc(uint32_t d, uint16_t k) {
   list.push_back({k, 1});
 }
 
-void FPlusLda::Step() {
-  const uint32_t k_topics = cfg_.num_topics;
-  const uint32_t v_words = corpus_->vocab_size();
-  const double beta_v = beta_ * v_words;
+core::IterationStats FPlusLda::Step() {
+  Stopwatch wall;
+  CpuLdaState& s = state_;
+  const uint32_t k_topics = s.num_topics;
+  const uint32_t v_words = s.corpus->vocab_size();
+  const double alpha = s.alpha, beta = s.beta;
+  const double beta_v = beta * v_words;
   CpuCostTracker cost;
   ++iteration_;
 
@@ -85,8 +68,8 @@ void FPlusLda::Step() {
     // Build α·q(k) for this word once, then maintain it incrementally.
     for (uint32_t k = 0; k < k_topics; ++k) {
       q[k] = static_cast<float>(
-          alpha_ * (nw_(k, v) + beta_) /
-          (static_cast<double>(nk_[k]) + beta_v));
+          alpha * (s.nw(k, v) + beta) /
+          (static_cast<double>(s.nk[k]) + beta_v));
     }
     q_tree_.Build(q);
     cost.StreamRead(k_topics * 12);  // nw row slice + nk
@@ -95,8 +78,8 @@ void FPlusLda::Step() {
 
     auto refresh_topic = [&](uint16_t k) {
       q_tree_.Set(k, static_cast<float>(
-                         alpha_ * (nw_(k, v) + beta_) /
-                         (static_cast<double>(nk_[k]) + beta_v)));
+                         alpha * (s.nw(k, v) + beta) /
+                         (static_cast<double>(s.nk[k]) + beta_v)));
       // log K tree nodes touched.
       cost.RandomReads(2, 8);
       cost.Flops(20);
@@ -104,12 +87,13 @@ void FPlusLda::Step() {
 
     for (uint64_t t = begin; t < end; ++t) {
       const uint32_t d = layout_.token_doc[t];
-      const uint16_t old_k = z_[t];
+      uint16_t& z = s.z[layout_.token_global[t]];
+      const uint16_t old_k = z;
 
       // Decrement.
-      --nd_(d, old_k);
-      --nw_(old_k, v);
-      --nk_[old_k];
+      --s.nd(d, old_k);
+      --s.nw(old_k, v);
+      --s.nk[old_k];
       DecDoc(d, old_k);
       refresh_topic(old_k);
       cost.RandomRead(4);
@@ -122,7 +106,7 @@ void FPlusLda::Step() {
       for (const TopicCount& e : list) {
         s_mass += e.count * static_cast<double>(q_tree_.Get(e.topic));
       }
-      s_mass /= alpha_;
+      s_mass /= alpha;
       cost.StreamRead(list.size() * 6);
       cost.RandomReads(list.size(), 4);
       cost.Flops(3 * list.size());
@@ -137,8 +121,7 @@ void FPlusLda::Step() {
         new_k = list.empty() ? old_k : list.back().topic;
         double acc = 0;
         for (const TopicCount& e : list) {
-          acc += e.count * static_cast<double>(q_tree_.Get(e.topic)) /
-                 alpha_;
+          acc += e.count * static_cast<double>(q_tree_.Get(e.topic)) / alpha;
           if (acc > u) {
             new_k = e.topic;
             break;
@@ -153,83 +136,41 @@ void FPlusLda::Step() {
       }
 
       // Increment.
-      z_[t] = new_k;
-      ++nd_(d, new_k);
-      ++nw_(new_k, v);
-      ++nk_[new_k];
+      z = new_k;
+      ++s.nd(d, new_k);
+      ++s.nw(new_k, v);
+      ++s.nk[new_k];
       IncDoc(d, new_k);
       refresh_topic(new_k);
       cost.RandomWrite(14);
     }
   }
 
-  const double step_s = cost.Seconds();
-  modeled_seconds_ += step_s;
-  last_tokens_per_sec_ =
-      static_cast<double>(corpus_->num_tokens()) / step_s;
-}
-
-double FPlusLda::LogLikelihoodPerToken() const {
-  // Same joint formula as CpuLdaState, over this class's counts.
-  const uint32_t k_topics = cfg_.num_topics;
-  const uint32_t v_words = corpus_->vocab_size();
-  const double lg_alpha = std::lgamma(alpha_);
-  const double lg_beta = std::lgamma(beta_);
-  double ll = 0;
-  for (size_t d = 0; d < corpus_->num_docs(); ++d) {
-    double row = 0;
-    for (uint32_t k = 0; k < k_topics; ++k) {
-      const int32_t c = nd_(d, k);
-      row += c != 0 ? std::lgamma(c + alpha_) : lg_alpha;
-    }
-    ll += row - k_topics * lg_alpha + std::lgamma(k_topics * alpha_) -
-          std::lgamma(static_cast<double>(corpus_->DocLength(d)) +
-                      k_topics * alpha_);
-  }
-  for (uint32_t k = 0; k < k_topics; ++k) {
-    double row = 0;
-    for (uint32_t v = 0; v < v_words; ++v) {
-      const int32_t c = nw_(k, v);
-      row += c != 0 ? std::lgamma(c + beta_) : lg_beta;
-    }
-    ll += row - v_words * lg_beta + std::lgamma(v_words * beta_) -
-          std::lgamma(static_cast<double>(nk_[k]) + v_words * beta_);
-  }
-  return ll / static_cast<double>(corpus_->num_tokens());
+  return FinishStep(cost.Seconds(), wall.Seconds());
 }
 
 void FPlusLda::Validate() const {
-  const uint32_t k_topics = cfg_.num_topics;
-  // z ↔ counts.
-  sparse::DenseMatrix<int32_t> nd_ref(corpus_->num_docs(), k_topics);
-  sparse::DenseMatrix<int32_t> nw_ref(k_topics, corpus_->vocab_size());
-  for (uint64_t t = 0; t < z_.size(); ++t) {
-    ++nd_ref(layout_.token_doc[t], z_[t]);
-    ++nw_ref(z_[t], layout_.token_word[t]);
+  state_.Validate();
+  // z ↔ counts, walking the sweep's word-major order.
+  const corpus::Corpus& c = *state_.corpus;
+  sparse::DenseMatrix<int32_t> nd_ref(c.num_docs(), cfg_.num_topics);
+  sparse::DenseMatrix<int32_t> nw_ref(cfg_.num_topics, c.vocab_size());
+  for (uint64_t t = 0; t < layout_.num_tokens(); ++t) {
+    const uint16_t k = state_.z[layout_.token_global[t]];
+    ++nd_ref(layout_.token_doc[t], k);
+    ++nw_ref(k, layout_.token_word[t]);
   }
-  int64_t grand = 0;
-  for (size_t d = 0; d < corpus_->num_docs(); ++d) {
-    for (uint32_t k = 0; k < k_topics; ++k) {
-      CULDA_CHECK(nd_(d, k) == nd_ref(d, k));
-    }
-    // Doc lists agree with dense counts.
+  CULDA_CHECK(std::ranges::equal(nd_ref.flat(), state_.nd.flat()));
+  CULDA_CHECK(std::ranges::equal(nw_ref.flat(), state_.nw.flat()));
+  // Doc lists agree with dense counts.
+  for (size_t d = 0; d < c.num_docs(); ++d) {
     int64_t list_sum = 0;
     for (const TopicCount& e : doc_topics_[d]) {
-      CULDA_CHECK(e.count == nd_(d, e.topic));
+      CULDA_CHECK(e.count == state_.nd(d, e.topic));
       list_sum += e.count;
     }
-    CULDA_CHECK(list_sum == static_cast<int64_t>(corpus_->DocLength(d)));
+    CULDA_CHECK(list_sum == static_cast<int64_t>(c.DocLength(d)));
   }
-  for (uint32_t k = 0; k < k_topics; ++k) {
-    int64_t sum = 0;
-    for (uint32_t v = 0; v < corpus_->vocab_size(); ++v) {
-      CULDA_CHECK(nw_(k, v) == nw_ref(k, v));
-      sum += nw_(k, v);
-    }
-    CULDA_CHECK(sum == nk_[k]);
-    grand += sum;
-  }
-  CULDA_CHECK(grand == static_cast<int64_t>(corpus_->num_tokens()));
 }
 
 }  // namespace culda::baselines

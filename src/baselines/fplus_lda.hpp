@@ -16,27 +16,20 @@
 
 #include "baselines/cpu_state.hpp"
 #include "baselines/fplus_tree.hpp"
-#include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 #include "corpus/word_first.hpp"
 
 namespace culda::baselines {
 
-class FPlusLda : public LdaSolver {
+class FPlusLda final : public CpuStateSolver {
  public:
   FPlusLda(const corpus::Corpus& corpus, const core::CuldaConfig& cfg);
 
   std::string name() const override { return "F+LDA (CPU, exact O(logK))"; }
-  void Step() override;
-  double ModeledSeconds() const override { return modeled_seconds_; }
-  double LogLikelihoodPerToken() const override;
-  uint64_t num_tokens() const override { return corpus_->num_tokens(); }
+  core::IterationStats Step() override;
 
   /// Count-consistency invariants (dense counts vs z vs doc lists).
   void Validate() const;
-
-  const sparse::DenseMatrix<int32_t>& nd() const { return nd_; }
-  const sparse::DenseMatrix<int32_t>& nw() const { return nw_; }
 
  private:
   struct TopicCount {
@@ -46,21 +39,11 @@ class FPlusLda : public LdaSolver {
   void DecDoc(uint32_t d, uint16_t k);
   void IncDoc(uint32_t d, uint16_t k);
 
-  const corpus::Corpus* corpus_;
-  core::CuldaConfig cfg_;
-  double alpha_ = 0;
-  double beta_ = 0;
-
-  corpus::WordFirstChunk layout_;        ///< whole corpus, word-major
-  std::vector<uint16_t> z_;              ///< topic per word-major token
-  sparse::DenseMatrix<int32_t> nd_;      ///< D×K
-  sparse::DenseMatrix<int32_t> nw_;      ///< K×V
-  std::vector<int64_t> nk_;
+  /// The whole corpus, word-major: the sweep visits token t = the corpus
+  /// token layout_.token_global[t].
+  corpus::WordFirstChunk layout_;
   std::vector<std::vector<TopicCount>> doc_topics_;  ///< sparse θ rows
-  FPlusTree q_tree_;                     ///< α·q(k) for the current word
-
-  uint32_t iteration_ = 0;
-  double modeled_seconds_ = 0;
+  FPlusTree q_tree_;  ///< α·q(k) for the current word
 };
 
 }  // namespace culda::baselines

@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "core/evaluator.hpp"
 #include "core/kernels.hpp"
 #include "util/philox.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::baselines {
 
@@ -83,22 +83,25 @@ gpusim::KernelRecord RunDenseSamplingKernel(gpusim::Device& device,
   return device.Launch("dense_sampling", lc, body);
 }
 
+/// Prior art: no compression, no shared-memory tricks, no L1 routing.
+core::CuldaConfig PriorArt(core::CuldaConfig cfg) {
+  cfg.compress_indices = false;
+  cfg.share_p2_tree = false;
+  cfg.reuse_pstar = false;
+  cfg.l1_for_indices = false;
+  return cfg;
+}
+
 }  // namespace
 
-GpuDenseLda::GpuDenseLda(const corpus::Corpus& corpus,
-                         const core::CuldaConfig& cfg,
-                         gpusim::DeviceSpec spec, ThreadPool* pool)
-    : corpus_(&corpus), cfg_(cfg) {
+SingleGpuSolver::SingleGpuSolver(const corpus::Corpus& corpus,
+                                 const core::CuldaConfig& cfg,
+                                 std::string name, gpusim::DeviceSpec spec,
+                                 ThreadPool* pool)
+    : corpus_(&corpus), cfg_(cfg), name_(std::move(name)) {
   cfg_.Validate();
-  // Prior art: no compression, no shared-memory tricks, no L1 routing.
-  cfg_.compress_indices = false;
-  cfg_.share_p2_tree = false;
-  cfg_.reuse_pstar = false;
-  cfg_.l1_for_indices = false;
-
+  core::RequireSymmetricAlpha(cfg_, name_);
   device_ = std::make_unique<gpusim::Device>(std::move(spec), 0, pool);
-
-  // The whole corpus as one chunk, seeded as CuldaTrainer seeds it.
   state_ = core::TrainingState::ByDocuments(corpus, cfg_, 1, pool);
   core::ChunkState& chunk = state_.chunks.front();
   RunUpdatePhiKernel(*device_, cfg_, chunk, state_.model);
@@ -108,23 +111,36 @@ GpuDenseLda::GpuDenseLda(const corpus::Corpus& corpus,
   device_->ResetProfile();
 }
 
-void GpuDenseLda::Step() {
+core::IterationStats SingleGpuSolver::Step() {
+  core::IterationStats stats;
+  stats.iteration = iteration_;
   const double t0 = device_->Now();
+  Stopwatch wall;
   ++iteration_;
   core::ChunkState& chunk = state_.chunks.front();
-  RunDenseSamplingKernel(*device_, cfg_, chunk, state_.model, iteration_);
+  Sample(*device_, chunk, state_.model, iteration_);
   RunZeroPhiKernel(*device_, cfg_, state_.accum);
   RunUpdatePhiKernel(*device_, cfg_, chunk, state_.accum);
   RunUpdateThetaKernel(*device_, cfg_, chunk);
   RunComputeNkKernel(*device_, cfg_, state_.accum);
   std::swap(state_.model, state_.accum);
   device_->Synchronize();
-  last_tokens_per_sec_ =
-      static_cast<double>(corpus_->num_tokens()) / (device_->Now() - t0);
+  stats.sim_seconds = device_->Now() - t0;
+  stats.wall_seconds = wall.Seconds();
+  stats.theta_nnz = state_.ThetaNnz();
+  core::SetThroughput(stats, corpus_->num_tokens());
+  return stats;
 }
 
-double GpuDenseLda::LogLikelihoodPerToken() const {
-  return core::LogLikelihoodPerToken(Gather(), cfg_);
+GpuDenseLda::GpuDenseLda(const corpus::Corpus& corpus,
+                         const core::CuldaConfig& cfg,
+                         gpusim::DeviceSpec spec, ThreadPool* pool)
+    : SingleGpuSolver(corpus, PriorArt(cfg), "Dense GPU LDA (prior art)",
+                      std::move(spec), pool) {}
+
+void GpuDenseLda::Sample(gpusim::Device& device, core::ChunkState& chunk,
+                         const core::PhiReplica& model, uint32_t iteration) {
+  RunDenseSamplingKernel(device, config(), chunk, model, iteration);
 }
 
 }  // namespace culda::baselines

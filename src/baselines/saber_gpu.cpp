@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/sampler/alias_table.hpp"
-#include "core/evaluator.hpp"
 #include "core/kernels.hpp"
 #include "util/philox.hpp"
 
@@ -97,45 +96,23 @@ gpusim::KernelRecord RunSaberSamplingKernel(gpusim::Device& device,
   return device.Launch("saber_sampling", lc, body);
 }
 
+/// 32-bit data throughout.
+core::CuldaConfig Uncompressed(core::CuldaConfig cfg) {
+  cfg.compress_indices = false;
+  return cfg;
+}
+
 }  // namespace
 
 SaberGpuLda::SaberGpuLda(const corpus::Corpus& corpus,
                          const core::CuldaConfig& cfg,
                          gpusim::DeviceSpec spec, ThreadPool* pool)
-    : corpus_(&corpus), cfg_(cfg) {
-  cfg_.Validate();
-  CULDA_CHECK_MSG(cfg_.asymmetric_alpha.empty(),
-                  "SaberGpuLda supports symmetric priors only");
-  cfg_.compress_indices = false;  // 32-bit data throughout
+    : SingleGpuSolver(corpus, Uncompressed(cfg), "SaberLDA-like (GPU)",
+                      std::move(spec), pool) {}
 
-  device_ = std::make_unique<gpusim::Device>(std::move(spec), 0, pool);
-  // The whole corpus as one chunk, seeded as CuldaTrainer seeds it.
-  state_ = core::TrainingState::ByDocuments(corpus, cfg_, 1, pool);
-  core::ChunkState& chunk = state_.chunks.front();
-  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.model);
-  RunUpdateThetaKernel(*device_, cfg_, chunk);
-  RunComputeNkKernel(*device_, cfg_, state_.model);
-  device_->ResetTime();
-  device_->ResetProfile();
-}
-
-void SaberGpuLda::Step() {
-  const double t0 = device_->Now();
-  ++iteration_;
-  core::ChunkState& chunk = state_.chunks.front();
-  RunSaberSamplingKernel(*device_, cfg_, chunk, state_.model, iteration_);
-  RunZeroPhiKernel(*device_, cfg_, state_.accum);
-  RunUpdatePhiKernel(*device_, cfg_, chunk, state_.accum);
-  RunUpdateThetaKernel(*device_, cfg_, chunk);
-  RunComputeNkKernel(*device_, cfg_, state_.accum);
-  std::swap(state_.model, state_.accum);
-  device_->Synchronize();
-  last_tokens_per_sec_ =
-      static_cast<double>(corpus_->num_tokens()) / (device_->Now() - t0);
-}
-
-double SaberGpuLda::LogLikelihoodPerToken() const {
-  return core::LogLikelihoodPerToken(Gather(), cfg_);
+void SaberGpuLda::Sample(gpusim::Device& device, core::ChunkState& chunk,
+                         const core::PhiReplica& model, uint32_t iteration) {
+  RunSaberSamplingKernel(device, config(), chunk, model, iteration);
 }
 
 }  // namespace culda::baselines

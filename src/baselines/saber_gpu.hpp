@@ -21,38 +21,22 @@
 // iteration; within-word staleness is the standard SaberLDA approximation).
 #pragma once
 
-#include <memory>
-
-#include "baselines/lda_solver.hpp"
+#include "baselines/gpu_dense.hpp"
 #include "core/config.hpp"
-#include "core/model.hpp"
-#include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
-#include "gpusim/device.hpp"
+#include "gpusim/device_spec.hpp"
 
 namespace culda::baselines {
 
-class SaberGpuLda : public LdaSolver {
+class SaberGpuLda final : public SingleGpuSolver {
  public:
   SaberGpuLda(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
               gpusim::DeviceSpec spec = gpusim::TitanXMaxwell(),
               ThreadPool* pool = nullptr);
 
-  std::string name() const override { return "SaberLDA-like (GPU)"; }
-  void Step() override;
-  double ModeledSeconds() const override { return device_->Now(); }
-  double LogLikelihoodPerToken() const override;
-  uint64_t num_tokens() const override { return corpus_->num_tokens(); }
-
-  core::GatheredModel Gather() const { return state_.Gather(); }
-  gpusim::Device& device() { return *device_; }
-
  private:
-  const corpus::Corpus* corpus_;
-  core::CuldaConfig cfg_;
-  std::unique_ptr<gpusim::Device> device_;
-  core::TrainingState state_;  ///< the corpus as one chunk, φ double buffer
-  uint32_t iteration_ = 0;
+  void Sample(gpusim::Device& device, core::ChunkState& chunk,
+              const core::PhiReplica& model, uint32_t iteration) override;
 };
 
 }  // namespace culda::baselines

@@ -4,15 +4,14 @@
 #include <limits>
 
 #include "util/philox.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::baselines {
 
 SparseLdaCgs::SparseLdaCgs(const corpus::Corpus& corpus,
                            const core::CuldaConfig& cfg)
-    : seed_(cfg.seed) {
-  cfg.Validate();
-  state_.Initialize(corpus, cfg.num_topics, cfg.EffectiveAlpha(), cfg.beta,
-                    cfg.seed);
+    : CpuStateSolver(corpus, cfg) {
+  core::RequireSymmetricAlpha(cfg_, name());
   coef_.resize(cfg.num_topics);
 
   word_topics_.resize(corpus.vocab_size());
@@ -51,7 +50,8 @@ void SparseLdaCgs::IncWord(uint32_t w, uint16_t k) {
   list.push_back({k, 1});
 }
 
-void SparseLdaCgs::Step() {
+core::IterationStats SparseLdaCgs::Step() {
+  Stopwatch wall;
   CpuLdaState& s = state_;
   const corpus::Corpus& c = *s.corpus;
   const uint32_t k_topics = s.num_topics;
@@ -158,7 +158,7 @@ void SparseLdaCgs::Step() {
       cost.RandomReads(wlist.size(), 8);          // coef lookups
       cost.Flops(2 * wlist.size());
 
-      PhiloxStream rng(seed_,
+      PhiloxStream rng(cfg_.seed,
                        (static_cast<uint64_t>(iteration_) << 40) ^ t);
       double u = rng.NextDouble() * (s_mass + r_mass + q_mass);
       uint16_t new_k = std::numeric_limits<uint16_t>::max();
@@ -222,9 +222,7 @@ void SparseLdaCgs::Step() {
     // r resets naturally. Nothing to do — coef is rebuilt per doc.
   }
 
-  const double step_s = cost.Seconds();
-  modeled_seconds_ += step_s;
-  last_tokens_per_sec_ = static_cast<double>(c.num_tokens()) / step_s;
+  return FinishStep(cost.Seconds(), wall.Seconds());
 }
 
 void SparseLdaCgs::ValidateStructures() const {

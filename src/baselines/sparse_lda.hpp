@@ -13,24 +13,16 @@
 #pragma once
 
 #include "baselines/cpu_state.hpp"
-#include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 
 namespace culda::baselines {
 
-class SparseLdaCgs : public LdaSolver {
+class SparseLdaCgs final : public CpuStateSolver {
  public:
   SparseLdaCgs(const corpus::Corpus& corpus, const core::CuldaConfig& cfg);
 
   std::string name() const override { return "SparseLDA (CPU, exact)"; }
-  void Step() override;
-  double ModeledSeconds() const override { return modeled_seconds_; }
-  double LogLikelihoodPerToken() const override {
-    return state_.LogLikelihoodPerToken();
-  }
-  uint64_t num_tokens() const override { return state_.corpus->num_tokens(); }
-
-  const CpuLdaState& state() const { return state_; }
+  core::IterationStats Step() override;
 
   /// Internal-structure consistency (word topic lists vs dense nw);
   /// throws on violation. For tests.
@@ -44,11 +36,6 @@ class SparseLdaCgs : public LdaSolver {
 
   void DecWord(uint32_t w, uint16_t k);
   void IncWord(uint32_t w, uint16_t k);
-
-  CpuLdaState state_;
-  uint64_t seed_;
-  uint32_t iteration_ = 0;
-  double modeled_seconds_ = 0;
 
   /// Per-word non-zero topic lists (the q-bucket support).
   std::vector<std::vector<TopicCount>> word_topics_;

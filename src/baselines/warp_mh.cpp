@@ -3,16 +3,15 @@
 #include <algorithm>
 
 #include "util/philox.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::baselines {
 
 WarpMhSampler::WarpMhSampler(const corpus::Corpus& corpus,
                              const core::CuldaConfig& cfg, uint32_t mh_cycles)
-    : seed_(cfg.seed), mh_cycles_(mh_cycles) {
-  cfg.Validate();
+    : CpuStateSolver(corpus, cfg), mh_cycles_(mh_cycles) {
+  core::RequireSymmetricAlpha(cfg_, name());
   CULDA_CHECK(mh_cycles >= 1);
-  state_.Initialize(corpus, cfg.num_topics, cfg.EffectiveAlpha(), cfg.beta,
-                    cfg.seed);
   word_alias_.resize(corpus.vocab_size());
 }
 
@@ -34,7 +33,8 @@ void WarpMhSampler::RebuildAliasTables(CpuCostTracker& cost) {
   cost.Flops(4 * cells);
 }
 
-void WarpMhSampler::Step() {
+core::IterationStats WarpMhSampler::Step() {
+  Stopwatch wall;
   CpuLdaState& s = state_;
   const corpus::Corpus& c = *s.corpus;
   const uint32_t k_topics = s.num_topics;
@@ -69,7 +69,7 @@ void WarpMhSampler::Step() {
       cost.RandomRead(2);     // z
       cost.RandomWrite(12);   // three count decrements
 
-      PhiloxStream rng(seed_,
+      PhiloxStream rng(cfg_.seed,
                        (static_cast<uint64_t>(iteration_) << 40) ^ t);
 
       for (uint32_t cycle = 0; cycle < mh_cycles_; ++cycle) {
@@ -131,9 +131,7 @@ void WarpMhSampler::Step() {
     }
   }
 
-  const double step_s = cost.Seconds();
-  modeled_seconds_ += step_s;
-  last_tokens_per_sec_ = static_cast<double>(c.num_tokens()) / step_s;
+  return FinishStep(cost.Seconds(), wall.Seconds());
 }
 
 }  // namespace culda::baselines

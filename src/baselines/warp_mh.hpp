@@ -20,27 +20,20 @@
 #pragma once
 
 #include "baselines/cpu_state.hpp"
-#include "baselines/lda_solver.hpp"
 #include "core/config.hpp"
 #include "core/sampler/alias_table.hpp"
 
 namespace culda::baselines {
 
-class WarpMhSampler : public LdaSolver {
+class WarpMhSampler final : public CpuStateSolver {
  public:
   /// `mh_cycles`: proposal pairs per token (WarpLDA default-equivalent: 1).
   WarpMhSampler(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
                 uint32_t mh_cycles = 1);
 
   std::string name() const override { return "WarpLDA-like (CPU, MH O(1))"; }
-  void Step() override;
-  double ModeledSeconds() const override { return modeled_seconds_; }
-  double LogLikelihoodPerToken() const override {
-    return state_.LogLikelihoodPerToken();
-  }
-  uint64_t num_tokens() const override { return state_.corpus->num_tokens(); }
+  core::IterationStats Step() override;
 
-  const CpuLdaState& state() const { return state_; }
   double acceptance_rate() const {
     return proposals_ == 0
                ? 0.0
@@ -50,11 +43,7 @@ class WarpMhSampler : public LdaSolver {
  private:
   void RebuildAliasTables(CpuCostTracker& cost);
 
-  CpuLdaState state_;
-  uint64_t seed_;
   uint32_t mh_cycles_;
-  uint32_t iteration_ = 0;
-  double modeled_seconds_ = 0;
   uint64_t proposals_ = 0;
   uint64_t accepts_ = 0;
   core::AliasBuildScratch alias_scratch_;    ///< reused across rebuilds

@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 
-#include "core/evaluator.hpp"
 #include "core/hyperopt.hpp"
 #include "corpus/chunking.hpp"
 #include "obs/obs.hpp"
@@ -68,6 +67,12 @@ CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
     group_.device(g).ResetProfile();
   }
   last_transfer_s_.assign(group_.size(), 0.0);
+}
+
+std::string CuldaTrainer::name() const {
+  const std::string gpu = group_.device(0).spec().name;
+  return "CuLDA/" +
+         (group_.size() > 1 ? std::to_string(group_.size()) + "x" + gpu : gpu);
 }
 
 void CuldaTrainer::ChooseM() {
@@ -188,12 +193,7 @@ IterationStats CuldaTrainer::Step() {
   stats.sim_seconds = group_.Now() - t0;
   stats.wall_seconds = wall.Seconds();
   stats.theta_nnz = state_.ThetaNnz();
-  stats.tokens_per_sec =
-      static_cast<double>(corpus_->num_tokens()) / stats.sim_seconds;
-  stats.wall_tokens_per_sec =
-      stats.wall_seconds > 0
-          ? static_cast<double>(corpus_->num_tokens()) / stats.wall_seconds
-          : 0.0;
+  SetThroughput(stats, corpus_->num_tokens());
   for (size_t g = 0; g < group_.size(); ++g) {
     const double cur = group_.device(g).transfer_seconds();
     stats.transfer_s += cur - last_transfer_s_[g];
@@ -217,6 +217,7 @@ IterationStats CuldaTrainer::Step() {
     cfg_.alpha = OptimizeAlpha(model, cfg_.EffectiveAlpha()).value;
     cfg_.beta = OptimizeBeta(model, cfg_.beta).value;
   }
+  modeled_seconds_ += stats.sim_seconds;
   history_.push_back(stats);
   return stats;
 }
@@ -368,19 +369,6 @@ std::vector<double> CuldaTrainer::ComputeNk() {
 
 void CuldaTrainer::ValidateState() const {
   validate::ValidateModelState(*corpus_, cfg_, state_.chunks, state_.model);
-}
-
-std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {
-  std::vector<IterationStats> out;
-  out.reserve(iterations);
-  for (uint32_t i = 0; i < iterations; ++i) {
-    out.push_back(Step());
-  }
-  return out;
-}
-
-double CuldaTrainer::LogLikelihoodPerToken() const {
-  return core::LogLikelihoodPerToken(Gather(), cfg_, opts_.pool);
 }
 
 void CuldaTrainer::ImportAssignments(std::span<const uint16_t> z_doc_major) {

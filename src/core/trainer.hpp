@@ -23,6 +23,7 @@
 #include "core/config.hpp"
 #include "core/kernels.hpp"
 #include "core/model.hpp"
+#include "core/solver.hpp"
 #include "core/sync.hpp"
 #include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
@@ -79,26 +80,7 @@ struct TrainerOptions {
   bool numa_replicate = false;
 };
 
-/// Timing record of one training iteration, in simulated seconds. The
-/// per-kernel components are summed across devices (they overlap in group
-/// time, so they are meaningful as a breakdown, not as a sum).
-struct IterationStats {
-  uint32_t iteration = 0;
-  double sim_seconds = 0;
-  double wall_seconds = 0;
-  double tokens_per_sec = 0;       ///< corpus tokens / sim_seconds
-  double wall_tokens_per_sec = 0;  ///< corpus tokens / wall_seconds (host)
-  double sampling_s = 0;
-  double update_theta_s = 0;
-  double update_phi_s = 0;
-  double sync_s = 0;
-  double transfer_s = 0;
-  /// θ sparsity after this iteration: total non-zeros across all chunks.
-  /// Falling nnz is what drives the Figure 7 throughput ramp.
-  uint64_t theta_nnz = 0;
-};
-
-class CuldaTrainer {
+class CuldaTrainer final : public LdaSolver {
  public:
   /// `corpus` must outlive the trainer. Builds chunk layouts, initializes
   /// topics uniformly at random (deterministic in cfg.seed), and constructs
@@ -114,27 +96,28 @@ class CuldaTrainer {
   uint32_t num_chunks() const {
     return static_cast<uint32_t>(state_.chunks.size());
   }
-  uint64_t num_tokens() const { return corpus_->num_tokens(); }
-  const CuldaConfig& config() const { return cfg_; }
+  uint64_t num_tokens() const override { return corpus_->num_tokens(); }
+  /// Current priors (re-estimated in place when hyperopt_interval is set).
+  const CuldaConfig& config() const override { return cfg_; }
   const TrainerOptions& options() const { return opts_; }
   gpusim::DeviceGroup& group() { return group_; }
 
+  /// "CuLDA/<GPU>", with a "Gx" prefix on the GPU when there are several.
+  std::string name() const override;
+
   /// Runs one full training iteration (sampling + model update + φ sync).
-  IterationStats Step();
+  IterationStats Step() override;
+  /// Sum of every Step()'s sim_seconds.
+  double ModeledSeconds() const override { return modeled_seconds_; }
 
-  /// Runs `iterations` steps; returns their stats (also kept in history()).
-  std::vector<IterationStats> Train(uint32_t iterations);
-
+  /// Every Step()'s stats, in order.
   const std::vector<IterationStats>& history() const { return history_; }
 
   /// Cumulative per-step traffic tallies (when collect_step_counters).
   const SamplingStepCounters& step_counters() const { return steps_; }
 
   /// Collects the trained model back to the host (Algorithm 1 lines 17–20).
-  GatheredModel Gather() const { return state_.Gather(); }
-
-  /// Convenience: gather + evaluate the Figure 8 metric.
-  double LogLikelihoodPerToken() const;
+  GatheredModel Gather() const override { return state_.Gather(); }
 
   /// Current iteration count (number of completed Step() calls).
   uint32_t iteration() const { return iteration_; }
@@ -174,7 +157,7 @@ class CuldaTrainer {
   /// caller move training state across *growing* corpora (see
   /// core::OnlineTrainer): token ids of existing documents are stable when
   /// documents are appended.
-  std::vector<uint16_t> ExportAssignments() const {
+  std::vector<uint16_t> ExportAssignments() const override {
     return state_.ExportAssignments();
   }
   /// Replaces all topic assignments (document-major, length = corpus
@@ -182,6 +165,7 @@ class CuldaTrainer {
   void ImportAssignments(std::span<const uint16_t> z_doc_major);
 
  private:
+  ThreadPool* eval_pool() const override { return opts_.pool; }
   void ChooseM();
   /// Charges every device's resident chunk and φ footprints.
   void ReserveFootprints();
@@ -216,6 +200,7 @@ class CuldaTrainer {
   std::vector<IterationStats> history_;
   SamplingStepCounters steps_;
   uint32_t iteration_ = 0;
+  double modeled_seconds_ = 0;
   std::vector<double> last_transfer_s_;  ///< per-device transfer-time marks
 };
 

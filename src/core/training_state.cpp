@@ -4,11 +4,6 @@
 
 namespace culda::core {
 
-namespace {
-
-/// Rejects an empty corpus, and one whose φ counts could wrap 16 bits
-/// (§6.1.3): a synced replica holds *global* counts, so a word's cell
-/// reaches its corpus frequency if every occurrence lands on one topic.
 void CheckTrainable(const corpus::Corpus& corpus) {
   CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
   const std::vector<uint64_t> freq = corpus.WordFrequencies();
@@ -21,8 +16,6 @@ void CheckTrainable(const corpus::Corpus& corpus) {
                                "first");
   }
 }
-
-}  // namespace
 
 void ForEachCell(ThreadPool* pool, size_t cells,
                  const std::function<void(size_t)>& fn) {

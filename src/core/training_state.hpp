@@ -34,6 +34,13 @@ inline uint16_t InitialTopic(uint64_t seed, uint64_t global_token,
   return static_cast<uint16_t>(topic);
 }
 
+/// The one trainability check of every solver: rejects an empty corpus, and
+/// one whose φ counts could wrap 16 bits (§6.1.3) — a synced replica holds
+/// *global* counts, so a word's cell reaches its corpus frequency if every
+/// occurrence lands on one topic. The culda::Error names the word, its count
+/// and the 65535 cap.
+void CheckTrainable(const corpus::Corpus& corpus);
+
 /// Runs fn(i) for every cell i < cells (a device, a chunk, a node×GPU pair):
 /// on `pool` when it has workers and there are several cells, else inline.
 /// Cells touch disjoint state (or add into a shared φ atomically); callers

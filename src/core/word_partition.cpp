@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/evaluator.hpp"
 #include "util/stopwatch.hpp"
 
 namespace culda::core {
@@ -180,22 +179,11 @@ IterationStats WordPartitionTrainer::Step() {
 
   stats.sim_seconds = group_.Now() - t0;
   stats.wall_seconds = wall.Seconds();
-  stats.tokens_per_sec =
-      static_cast<double>(corpus_->num_tokens()) / stats.sim_seconds;
+  SetThroughput(stats, corpus_->num_tokens());
   stats.theta_nnz = state_.ThetaNnz();
   ++iteration_;
+  modeled_seconds_ += stats.sim_seconds;
   return stats;
-}
-
-std::vector<IterationStats> WordPartitionTrainer::Train(uint32_t iterations) {
-  std::vector<IterationStats> out;
-  out.reserve(iterations);
-  for (uint32_t i = 0; i < iterations; ++i) out.push_back(Step());
-  return out;
-}
-
-double WordPartitionTrainer::LogLikelihoodPerToken() const {
-  return core::LogLikelihoodPerToken(Gather(), cfg_);
 }
 
 }  // namespace culda::core

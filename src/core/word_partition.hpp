@@ -16,19 +16,20 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/kernels.hpp"
 #include "core/model.hpp"
-#include "core/trainer.hpp"
+#include "core/solver.hpp"
 #include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/multi_gpu.hpp"
 
 namespace culda::core {
 
-class WordPartitionTrainer {
+class WordPartitionTrainer final : public LdaSolver {
  public:
   /// Single-machine, one word-range chunk per GPU (the WS1 analogue; a
   /// streaming variant would only make the policy look worse).
@@ -37,14 +38,19 @@ class WordPartitionTrainer {
                        gpusim::LinkSpec peer_link = gpusim::Pcie3x16());
 
   uint32_t num_gpus() const { return static_cast<uint32_t>(group_.size()); }
-  const CuldaConfig& config() const { return cfg_; }
+  const CuldaConfig& config() const override { return cfg_; }
   gpusim::DeviceGroup& group() { return group_; }
 
-  IterationStats Step();
-  std::vector<IterationStats> Train(uint32_t iterations);
+  std::string name() const override { return "CuLDA by-word partition"; }
+  IterationStats Step() override;
+  /// Sum of every Step()'s sim_seconds.
+  double ModeledSeconds() const override { return modeled_seconds_; }
+  uint64_t num_tokens() const override { return corpus_->num_tokens(); }
 
-  GatheredModel Gather() const { return state_.Gather(); }
-  double LogLikelihoodPerToken() const;
+  GatheredModel Gather() const override { return state_.Gather(); }
+  std::vector<uint16_t> ExportAssignments() const override {
+    return state_.ExportAssignments();
+  }
 
   /// Bytes moved for the θ reduce+broadcast in the last Step() — the
   /// quantity A4 compares against CuldaTrainer's φ sync volume.
@@ -68,6 +74,7 @@ class WordPartitionTrainer {
   /// billed per device.
   TrainingState state_;
   uint32_t iteration_ = 0;
+  double modeled_seconds_ = 0;
   uint64_t last_theta_sync_bytes_ = 0;
 };
 

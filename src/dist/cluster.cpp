@@ -3,17 +3,18 @@
 #include <algorithm>
 #include <string>
 
-#include "core/evaluator.hpp"
 #include "core/sync.hpp"
 #include "corpus/chunking.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/stopwatch.hpp"
 
 namespace culda::dist {
 
 namespace {
 
-/// Per-(node, gpu) partial of one parallel phase, reduced into SweepStats in
+/// Per-(node, gpu) partial of one parallel phase, reduced into the sweep's
+/// stats in
 /// fixed grid order afterwards so float sums never depend on scheduling.
 struct alignas(64) CellPartial {
   double sampling_s = 0;
@@ -139,11 +140,18 @@ double ClusterTrainer::Now() const {
   return now;
 }
 
-SweepStats ClusterTrainer::Sweep() {
+std::string ClusterTrainer::name() const {
+  return std::string("CuLDA cluster ") + DistModeName(opts_.mode) + " (" +
+         std::to_string(opts_.num_nodes) + " nodes x " +
+         std::to_string(opts_.gpus.size()) + " " + opts_.gpus[0].name + ")";
+}
+
+core::IterationStats ClusterTrainer::Step() {
   CULDA_OBS_SPAN("dist/sweep");
-  SweepStats stats;
-  stats.sweep = sweep_;
+  core::IterationStats stats;
+  stats.iteration = sweep_;
   const double t0 = Now();
+  Stopwatch wall;
   const uint64_t payload0 = fabric_.payload_bytes();
   const uint64_t wire0 = fabric_.wire_bytes();
 
@@ -154,24 +162,20 @@ SweepStats ClusterTrainer::Sweep() {
   }
 
   stats.sim_seconds = Now() - t0;
+  stats.wall_seconds = wall.Seconds();
+  core::SetThroughput(stats, corpus_->num_tokens());
   stats.network_payload_bytes = fabric_.payload_bytes() - payload0;
   stats.network_wire_bytes = fabric_.wire_bytes() - wire0;
   stats.theta_nnz = state_.ThetaNnz();
   max_observed_staleness_ =
       std::max(max_observed_staleness_, stats.max_staleness);
   ++sweep_;
+  modeled_seconds_ += stats.sim_seconds;
   history_.push_back(stats);
   return stats;
 }
 
-std::vector<SweepStats> ClusterTrainer::Train(uint32_t sweeps) {
-  std::vector<SweepStats> out;
-  out.reserve(sweeps);
-  for (uint32_t i = 0; i < sweeps; ++i) out.push_back(Sweep());
-  return out;
-}
-
-void ClusterTrainer::SweepSync(SweepStats& stats) {
+void ClusterTrainer::SweepSync(core::IterationStats& stats) {
   // One CuLDA iteration with the reduce+broadcast spanning the fabric.
   // The per-device schedule is CuldaTrainer's WS1 (resident chunks, φ
   // double-buffered, θ overlapping the sync on stream 1).
@@ -224,14 +228,15 @@ double ClusterTrainer::SyncAndComputeNk() {
   return sync.seconds;
 }
 
-void ClusterTrainer::SweepAsync(SweepStats& stats) {
+void ClusterTrainer::SweepAsync(core::IterationStats& stats) {
   for (uint32_t r = 0; r < opts_.num_nodes; ++r) {
     AsyncRound(round_, stats);
     ++round_;
   }
 }
 
-void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
+void ClusterTrainer::AsyncRound(uint32_t round,
+                                core::IterationStats& stats) {
   const size_t n_count = nodes_.size();
   const size_t g_count = opts_.gpus.size();
   const uint32_t bound = opts_.staleness_bound;
@@ -421,10 +426,6 @@ void ClusterTrainer::AsyncRound(uint32_t round, SweepStats& stats) {
     nodes_[n]->Barrier();
     node_round_end_[n] = nodes_[n]->Now();
   }
-}
-
-double ClusterTrainer::LogLikelihoodPerToken() const {
-  return core::LogLikelihoodPerToken(Gather(), cfg_, opts_.pool);
 }
 
 }  // namespace culda::dist

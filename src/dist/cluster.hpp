@@ -36,12 +36,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/kernels.hpp"
 #include "core/model.hpp"
+#include "core/solver.hpp"
 #include "core/training_state.hpp"
 #include "corpus/corpus.hpp"
 #include "gpusim/fabric.hpp"
@@ -85,22 +87,11 @@ struct ClusterOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Timing/traffic record of one sweep (= one full pass over the corpus;
-/// one iteration in kSync, N rounds in kAsync). Simulated seconds.
-struct SweepStats {
-  uint32_t sweep = 0;
-  double sim_seconds = 0;        ///< cluster-clock advance of this sweep
-  double sampling_s = 0;         ///< per-device sampling time, summed
-  double sync_s = 0;             ///< kSync: all-reduce time of this sweep
-  uint64_t network_payload_bytes = 0;  ///< fabric payload this sweep
-  uint64_t network_wire_bytes = 0;     ///< payload × hops (store-and-forward)
-  /// kAsync: max shard age (rounds) any node sampled against this sweep;
-  /// always ≤ min(staleness_bound, N−1). 0 in kSync.
-  uint32_t max_staleness = 0;
-  uint64_t theta_nnz = 0;
-};
+/// The per-sweep record is the solvers' one IterationStats (one sweep = one
+/// full pass over the corpus: one iteration in kSync, N rounds in kAsync).
+using SweepStats = core::IterationStats;
 
-class ClusterTrainer {
+class ClusterTrainer final : public core::LdaSolver {
  public:
   /// `corpus` must outlive the trainer. Documents are split into N·G
   /// token-balanced chunks (chunk n·G+g on node n, GPU g — the same
@@ -115,19 +106,24 @@ class ClusterTrainer {
   uint32_t gpus_per_node() const {
     return static_cast<uint32_t>(opts_.gpus.size());
   }
-  const core::CuldaConfig& config() const { return cfg_; }
+  const core::CuldaConfig& config() const override { return cfg_; }
   const ClusterOptions& options() const { return opts_; }
   const gpusim::Fabric& fabric() const { return fabric_; }
 
+  /// "CuLDA cluster <mode> (<N> nodes x <G> <GPU>)".
+  std::string name() const override;
   /// Runs one sweep; returns its stats (also kept in history()).
-  SweepStats Sweep();
-  std::vector<SweepStats> Train(uint32_t sweeps);
-  const std::vector<SweepStats>& history() const { return history_; }
-  uint32_t sweep() const { return sweep_; }
+  core::IterationStats Step() override;
+  const std::vector<core::IterationStats>& history() const {
+    return history_;
+  }
+  uint64_t num_tokens() const override { return corpus_->num_tokens(); }
 
   /// Latest completion time across every node's devices (cluster-absolute
   /// simulated seconds since construction).
   double Now() const;
+  /// Sum of every Step()'s sim_seconds.
+  double ModeledSeconds() const override { return modeled_seconds_; }
 
   /// Max shard age (rounds) sampled against over the whole run; the
   /// staleness-bound invariant is max_observed_staleness() ≤
@@ -135,16 +131,16 @@ class ClusterTrainer {
   uint32_t max_observed_staleness() const { return max_observed_staleness_; }
 
   /// Collects the trained model (θ over all documents + global φ).
-  core::GatheredModel Gather() const { return state_.Gather(); }
-  double LogLikelihoodPerToken() const;
+  core::GatheredModel Gather() const override { return state_.Gather(); }
 
   /// Topic assignments in corpus document-major order (comparable across
   /// modes, node counts, and worker counts).
-  std::vector<uint16_t> ExportAssignments() const {
+  std::vector<uint16_t> ExportAssignments() const override {
     return state_.ExportAssignments();
   }
 
  private:
+  ThreadPool* eval_pool() const override { return opts_.pool; }
   void BuildChunks();
   void InitializeModel();
   /// Device of cell c = n·G + g of the node×GPU grid: node n, GPU g. The
@@ -153,15 +149,15 @@ class ClusterTrainer {
   gpusim::Device& CellDevice(size_t c) {
     return nodes_[c / opts_.gpus.size()]->device(c % opts_.gpus.size());
   }
-  void SweepSync(SweepStats& stats);
+  void SweepSync(core::IterationStats& stats);
   /// kSync: bills the φ all-reduce on every node, computes n_k of the read
   /// model once and bills compute_nk on every device, then barriers every
   /// node. Returns the sync's seconds.
   double SyncAndComputeNk();
-  void SweepAsync(SweepStats& stats);
+  void SweepAsync(core::IterationStats& stats);
   /// One async round: route shards (sequential), sample resident slices
   /// (parallel), fold deltas into the canonical model (sequential).
-  void AsyncRound(uint32_t round, SweepStats& stats);
+  void AsyncRound(uint32_t round, core::IterationStats& stats);
   uint64_t ShardBytes(size_t shard) const;
   size_t ChunkIndex(size_t node, size_t gpu) const {
     return node * opts_.gpus.size() + gpu;
@@ -196,8 +192,9 @@ class ClusterTrainer {
   std::vector<double> node_round_end_;
   uint32_t round_ = 0;  ///< kAsync rounds completed (sweep_ · N + r)
 
-  std::vector<SweepStats> history_;
+  std::vector<core::IterationStats> history_;
   uint32_t sweep_ = 0;
+  double modeled_seconds_ = 0;
   uint32_t max_observed_staleness_ = 0;
 };
 

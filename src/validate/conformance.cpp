@@ -1,15 +1,21 @@
 #include "validate/conformance.hpp"
 
 #include <cstddef>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/cpu_cgs.hpp"
 #include "baselines/fplus_lda.hpp"
+#include "baselines/gpu_dense.hpp"
+#include "baselines/saber_gpu.hpp"
 #include "baselines/sparse_lda.hpp"
+#include "baselines/warp_mh.hpp"
 #include "core/index_tree.hpp"
 #include "core/trainer.hpp"
+#include "core/word_partition.hpp"
+#include "dist/cluster.hpp"
 #include "gpusim/multi_gpu.hpp"
 #include "sparse/dense.hpp"
 #include "util/philox.hpp"
@@ -26,86 +32,34 @@ namespace {
   throw ValidationError(std::string(invariant), os.str());
 }
 
-/// The z-independent marginals every exact-count solver must satisfy:
-/// column sums of the topic–word table are the corpus word frequencies, row
-/// sums of the document–topic table are the document lengths, and both grand
-/// totals are the token count. `nw` is K×V, `nd` is D×K.
-void CheckDenseMarginals(std::string_view solver,
-                         const corpus::Corpus& corpus,
-                         const sparse::DenseMatrix<int32_t>& nd,
-                         const sparse::DenseMatrix<int32_t>& nw,
-                         std::span<const uint64_t> word_freq) {
-  const size_t num_topics = nw.rows();
-  const size_t vocab = nw.cols();
-  std::vector<int64_t> col_sum(vocab, 0);
-  int64_t nw_total = 0;
-  for (size_t k = 0; k < num_topics; ++k) {
-    for (const int32_t c : nw.Row(k)) {
-      if (c < 0) {
-        std::ostringstream os;
-        os << "negative topic-word count " << c << " at topic " << k;
-        Fail("conformance-word-marginal", solver, os.str());
-      }
-    }
-    const auto row = nw.Row(k);
-    for (size_t v = 0; v < vocab; ++v) {
-      col_sum[v] += row[v];
-      nw_total += row[v];
-    }
-  }
-  for (size_t v = 0; v < vocab; ++v) {
-    if (col_sum[v] != static_cast<int64_t>(word_freq[v])) {
-      std::ostringstream os;
-      os << "word " << v << " has topic-word column sum " << col_sum[v]
-         << " but corpus frequency " << word_freq[v];
-      Fail("conformance-word-marginal", solver, os.str());
-    }
-  }
-  if (nw_total != static_cast<int64_t>(corpus.num_tokens())) {
-    std::ostringstream os;
-    os << "topic-word grand total " << nw_total << " != corpus tokens "
-       << corpus.num_tokens();
-    Fail("conformance-token-total", solver, os.str());
-  }
-  for (size_t d = 0; d < nd.rows(); ++d) {
-    int64_t row_sum = 0;
-    for (const int32_t c : nd.Row(d)) row_sum += c;
-    if (row_sum != static_cast<int64_t>(corpus.DocLength(d))) {
-      std::ostringstream os;
-      os << "document " << d << " has doc-topic row sum " << row_sum
-         << " but length " << corpus.DocLength(d);
-      Fail("conformance-doc-marginal", solver, os.str());
-    }
-  }
-}
-
-/// Rethrows a solver's own Validate() failure under the conformance
-/// invariant name, preserving the original message.
-template <typename Fn>
-void RunSelfConsistency(std::string_view solver, const Fn& fn) {
+/// Runs `check`, rethrowing its failure under `invariant` with the original
+/// message.
+void Rethrow(std::string_view invariant, std::string_view solver,
+             const std::function<void()>& check) {
   try {
-    fn();
+    check();
   } catch (const Error& e) {
-    Fail("conformance-self-consistency", solver, e.what());
+    Fail(invariant, solver, e.what());
   }
 }
 
-/// The trainer's gathered θ/φ/n_k must agree exactly with count tables
-/// rebuilt from its exported document-major assignments — the delayed-update
-/// semantics change *which* z the sampler converges to, never the
-/// z-to-counts bookkeeping.
-void CheckTrainerRebuild(const corpus::Corpus& corpus,
-                         const core::CuldaConfig& cfg,
-                         const core::GatheredModel& model,
-                         std::span<const uint16_t> z) {
-  constexpr std::string_view kSolver = "culda";
+/// A solver's gathered θ/φ/n_k must agree exactly with count tables rebuilt
+/// from its exported document-major assignments — delayed updates, stale
+/// views and MH proposals change *which* z a sampler reaches, never the
+/// z-to-counts bookkeeping. The rebuild counts every token under its corpus
+/// word and document, so agreement also pins the z-independent marginals:
+/// φ column sums are the word frequencies, θ row sums the document lengths.
+void CheckRebuild(std::string_view solver, const corpus::Corpus& corpus,
+                  const core::GatheredModel& model,
+                  std::span<const uint16_t> z) {
+  constexpr std::string_view kInvariant = "conformance-rebuild";
   if (z.size() != corpus.num_tokens()) {
     std::ostringstream os;
     os << "exported " << z.size() << " assignments for "
        << corpus.num_tokens() << " tokens";
-    Fail("conformance-trainer-rebuild", kSolver, os.str());
+    Fail(kInvariant, solver, os.str());
   }
-  const uint32_t num_topics = cfg.num_topics;
+  const uint32_t num_topics = model.num_topics;
   sparse::DenseMatrix<int32_t> nw(num_topics, corpus.vocab_size());
   std::vector<int64_t> nk(num_topics, 0);
   const auto words = corpus.words();
@@ -114,7 +68,7 @@ void CheckTrainerRebuild(const corpus::Corpus& corpus,
     if (k >= num_topics) {
       std::ostringstream os;
       os << "token " << t << " assigned out-of-range topic " << k;
-      Fail("conformance-trainer-rebuild", kSolver, os.str());
+      Fail(kInvariant, solver, os.str());
     }
     nw(k, words[t]) += 1;
     nk[k] += 1;
@@ -124,7 +78,7 @@ void CheckTrainerRebuild(const corpus::Corpus& corpus,
       std::ostringstream os;
       os << "topic " << k << ": gathered n_k " << model.nk[k]
          << " but assignments rebuild " << nk[k];
-      Fail("conformance-trainer-rebuild", kSolver, os.str());
+      Fail(kInvariant, solver, os.str());
     }
     const auto rebuilt = nw.Row(k);
     for (size_t v = 0; v < rebuilt.size(); ++v) {
@@ -133,7 +87,7 @@ void CheckTrainerRebuild(const corpus::Corpus& corpus,
         std::ostringstream os;
         os << "phi(" << k << ", " << v << ") gathered as " << gathered
            << " but assignments rebuild " << rebuilt[v];
-        Fail("conformance-trainer-rebuild", kSolver, os.str());
+        Fail(kInvariant, solver, os.str());
       }
     }
   }
@@ -148,10 +102,24 @@ void CheckTrainerRebuild(const corpus::Corpus& corpus,
         std::ostringstream os;
         os << "theta(" << d << ", " << k << ") gathered as " << gathered
            << " but assignments rebuild " << row[k];
-        Fail("conformance-trainer-rebuild", kSolver, os.str());
+        Fail(kInvariant, solver, os.str());
       }
     }
   }
+}
+
+/// Trains `solver` (a failed internal check names the solver) and applies
+/// every count check: its own self-check (`self_check`, may be empty), the
+/// gathered model's invariants, and the rebuild from its assignments.
+void CheckSolver(std::string_view name, core::LdaSolver& solver,
+                 const corpus::Corpus& corpus, uint32_t iterations,
+                 const std::function<void()>& self_check = {}) {
+  Rethrow("conformance-train", name, [&] { solver.Train(iterations); });
+  if (self_check) Rethrow("conformance-self-consistency", name, self_check);
+  const core::GatheredModel model = solver.Gather();
+  Rethrow("conformance-gathered-model", name,
+          [&] { model.Validate(corpus); });
+  CheckRebuild(name, corpus, model, solver.ExportAssignments());
 }
 
 }  // namespace
@@ -160,41 +128,53 @@ void RunCountConformance(const corpus::Corpus& corpus,
                          const core::CuldaConfig& cfg,
                          const ConformanceOptions& options) {
   CULDA_CHECK(options.gpus >= 1);
-  const std::vector<uint64_t> word_freq = corpus.WordFrequencies();
+  const std::vector<gpusim::DeviceSpec> gpus(options.gpus,
+                                             gpusim::V100Volta());
+  const uint32_t iters = options.iterations;
 
-  // CuLDA trainer: gathered-model invariants plus the z→counts rebuild.
   core::TrainerOptions topts;
-  topts.gpus.assign(options.gpus, gpusim::V100Volta());
+  topts.gpus = gpus;
   topts.sampler = options.sampler;
   topts.mh_cycles = options.mh_cycles;
   core::CuldaTrainer trainer(corpus, cfg, topts);
-  trainer.Train(options.iterations);
-  const core::GatheredModel model = trainer.Gather();
-  RunSelfConsistency("culda", [&] { model.Validate(corpus); });
-  CheckTrainerRebuild(corpus, cfg, model, trainer.ExportAssignments());
+  CheckSolver("culda", trainer, corpus, iters,
+              [&] { trainer.ValidateState(); });
 
-  // Exact dense CGS.
+  core::WordPartitionTrainer by_word(corpus, cfg, gpus);
+  CheckSolver("word_partition", by_word, corpus, iters);
+
+  // Two nodes: sync all-reduces φ over the fabric; async samples against
+  // per-node staleness views and folds each round's deltas into the model.
+  dist::ClusterOptions copts;
+  copts.gpus = gpus;
+  copts.sampler = options.sampler;
+  copts.mh_cycles = options.mh_cycles;
+  for (const dist::DistMode mode : {dist::DistMode::kSync,
+                                    dist::DistMode::kAsync}) {
+    copts.mode = mode;
+    dist::ClusterTrainer cluster(corpus, cfg, copts);
+    CheckSolver(std::string("cluster_") + dist::DistModeName(mode), cluster,
+                corpus, iters);
+  }
+
+  baselines::GpuDenseLda dense(corpus, cfg, gpusim::TitanXMaxwell());
+  CheckSolver("gpu_dense", dense, corpus, iters);
+  baselines::SaberGpuLda saber(corpus, cfg);
+  CheckSolver("saber_gpu", saber, corpus, iters);
+
   baselines::CpuCgs cgs(corpus, cfg);
-  for (uint32_t i = 0; i < options.iterations; ++i) cgs.Step();
-  RunSelfConsistency("cpu_cgs", [&] { cgs.state().Validate(); });
-  CheckDenseMarginals("cpu_cgs", corpus, cgs.state().nd, cgs.state().nw,
-                      word_freq);
-
-  // SparseLDA: dense counts plus its word-topic list structures.
+  CheckSolver("cpu_cgs", cgs, corpus, iters,
+              [&] { cgs.state().Validate(); });
   baselines::SparseLdaCgs sparse_lda(corpus, cfg);
-  for (uint32_t i = 0; i < options.iterations; ++i) sparse_lda.Step();
-  RunSelfConsistency("sparse_lda", [&] {
+  CheckSolver("sparse_lda", sparse_lda, corpus, iters, [&] {
     sparse_lda.state().Validate();
     sparse_lda.ValidateStructures();
   });
-  CheckDenseMarginals("sparse_lda", corpus, sparse_lda.state().nd,
-                      sparse_lda.state().nw, word_freq);
-
-  // F+LDA: word-major sweep with the F+ tree.
   baselines::FPlusLda fplus(corpus, cfg);
-  for (uint32_t i = 0; i < options.iterations; ++i) fplus.Step();
-  RunSelfConsistency("fplus_lda", [&] { fplus.Validate(); });
-  CheckDenseMarginals("fplus_lda", corpus, fplus.nd(), fplus.nw(), word_freq);
+  CheckSolver("fplus_lda", fplus, corpus, iters, [&] { fplus.Validate(); });
+  baselines::WarpMhSampler warp(corpus, cfg, options.mh_cycles);
+  CheckSolver("warp_mh", warp, corpus, iters,
+              [&] { warp.state().Validate(); });
 }
 
 ChiSquareResult TreeSamplingGof(std::span<const float> p, uint32_t fanout,

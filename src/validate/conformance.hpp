@@ -2,15 +2,17 @@
 //
 // Two layers of cross-checking:
 //
-// 1. Count-table conformance. CuldaTrainer and the CPU baselines (cpu_cgs,
-//    sparse_lda, fplus_lda) run on the same corpus. Their *assignments*
-//    legitimately differ (delayed-update vs exact-Gibbs semantics, distinct
-//    RNG contracts), so the harness compares what must agree regardless of
-//    sampler semantics: every solver's count tables rebuilt from its own z
-//    match the tables it maintains incrementally, and the z-independent
-//    marginals — Σ_k n_kv per word (the corpus word frequency), Σ_k n_dk per
-//    document (the document length), Σ n_k (the token count) — agree across
-//    every solver and with the corpus.
+// 1. Count-table conformance. Every core::LdaSolver runs on the same
+//    corpus: CuldaTrainer, WordPartitionTrainer, dist::ClusterTrainer (sync
+//    and async), the GPU baselines (gpu_dense, saber_gpu) and the CPU
+//    baselines (cpu_cgs, sparse_lda, fplus_lda, warp_mh). Their
+//    *assignments* legitimately differ (delayed-update vs exact-Gibbs
+//    semantics, stale views, distinct RNG contracts), so the harness checks
+//    what must hold regardless of sampler semantics: each solver's gathered
+//    θ/φ/n_k equal the tables rebuilt from its own exported z, which pins
+//    the z-independent marginals — Σ_k n_kv per word (the corpus word
+//    frequency), Σ_k n_dk per document (the document length), Σ n_k (the
+//    token count) — to the corpus for every solver.
 //
 // 2. Sampling-distribution conformance. The IndexTreeView search (the
 //    paper's Figure 5 structure, on both the training and serving paths) and
@@ -34,18 +36,21 @@ namespace culda::validate {
 
 struct ConformanceOptions {
   uint32_t iterations = 3;  ///< training iterations per solver
-  uint32_t gpus = 1;        ///< simulated GPUs for the CuldaTrainer run
-  /// Sampler tier for the CuldaTrainer run. The count-table checks are
-  /// sampler-independent (any correct sampler maintains exact counts), so
-  /// running the harness under kAliasMH certifies the MH kernel's
-  /// bookkeeping against the same bar as the exact kernel.
+  /// Simulated GPUs of the CuldaTrainer and WordPartitionTrainer runs, and
+  /// per node of the two-node cluster runs.
+  uint32_t gpus = 1;
+  /// Sampler tier of the CuldaTrainer and cluster runs. The count-table
+  /// checks are sampler-independent (any correct sampler maintains exact
+  /// counts), so running the harness under kAliasMH certifies the MH
+  /// kernel's bookkeeping against the same bar as the exact kernel.
   core::TrainSampler sampler = core::TrainSampler::kTree;
-  uint32_t mh_cycles = 1;  ///< kAliasMH only
+  /// kAliasMH proposal pairs; also the WarpLDA-like baseline's cycles.
+  uint32_t mh_cycles = 1;
 };
 
-/// Runs CuldaTrainer and the three CPU baselines on `corpus` under `cfg`
-/// and applies every count-table check described above. Throws
-/// ValidationError naming the first solver/invariant that disagrees.
+/// Runs every solver listed above on `corpus` under `cfg` and applies every
+/// count-table check described above. Throws ValidationError naming the
+/// first solver/invariant that disagrees.
 void RunCountConformance(const corpus::Corpus& corpus,
                          const core::CuldaConfig& cfg,
                          const ConformanceOptions& options = {});

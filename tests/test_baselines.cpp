@@ -81,10 +81,10 @@ TEST(CpuCgs, ModeledTimeAccumulates) {
   CpuCgs solver(c, TestConfig());
   solver.Step();
   const double one = solver.ModeledSeconds();
-  solver.Step();
+  const core::IterationStats last = solver.Step();
   EXPECT_GT(one, 0.0);
   EXPECT_NEAR(solver.ModeledSeconds(), 2 * one, one * 0.5);
-  EXPECT_GT(solver.last_tokens_per_sec(), 0.0);
+  EXPECT_GT(last.tokens_per_sec, 0.0);
 }
 
 // ------------------------------------------------------------- SparseLDA --
@@ -162,9 +162,9 @@ TEST(WarpMh, FasterPerTokenThanExactCgs) {
   const auto cfg = TestConfig(128);
   CpuCgs exact(c, cfg);
   WarpMhSampler mh(c, cfg);
-  exact.Step();
-  mh.Step();
-  EXPECT_GT(mh.last_tokens_per_sec(), 3 * exact.last_tokens_per_sec());
+  const core::IterationStats exact_step = exact.Step();
+  const core::IterationStats mh_step = mh.Step();
+  EXPECT_GT(mh_step.tokens_per_sec, 3 * exact_step.tokens_per_sec);
 }
 
 TEST(WarpMh, ThroughputInWarpLdaBallpark) {
@@ -173,9 +173,9 @@ TEST(WarpMh, ThroughputInWarpLdaBallpark) {
   const auto c = TestCorpus(800, 1000);
   WarpMhSampler solver(c, TestConfig(128));
   solver.Step();
-  solver.Step();
-  EXPECT_GT(solver.last_tokens_per_sec(), 30e6);
-  EXPECT_LT(solver.last_tokens_per_sec(), 400e6);
+  const core::IterationStats last = solver.Step();
+  EXPECT_GT(last.tokens_per_sec, 30e6);
+  EXPECT_LT(last.tokens_per_sec, 400e6);
 }
 
 // -------------------------------------------------------------- GpuDense --
@@ -198,9 +198,9 @@ TEST(GpuDense, LogLikelihoodImproves) {
 TEST(GpuDense, TracksSimulatedTime) {
   const auto c = TestCorpus();
   GpuDenseLda solver(c, TestConfig(), gpusim::TitanXMaxwell());
-  solver.Step();
+  const core::IterationStats last = solver.Step();
   EXPECT_GT(solver.ModeledSeconds(), 0.0);
-  EXPECT_GT(solver.last_tokens_per_sec(), 0.0);
+  EXPECT_GT(last.tokens_per_sec, 0.0);
 }
 
 // ---------------------------------------------------------- GpuBaselines --

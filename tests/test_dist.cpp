@@ -181,7 +181,7 @@ TEST(Cluster, SyncModeMatchesSingleMachineBitForBit) {
   single.chunks_per_gpu = 1;
   core::CuldaTrainer machine(c, cfg, single);
   for (int i = 0; i < 3; ++i) {
-    cluster.Sweep();
+    cluster.Step();
     machine.Step();
     EXPECT_EQ(cluster.ExportAssignments(), machine.ExportAssignments())
         << "diverged at sweep " << i;
@@ -231,8 +231,8 @@ TEST(Cluster, AsyncScheduleIsWorkerCountInvariant) {
   opts.pool = &pool;
   ClusterTrainer parallel(c, cfg, opts);
   for (int i = 0; i < 2; ++i) {
-    const SweepStats a = serial.Sweep();
-    const SweepStats b = parallel.Sweep();
+    const core::IterationStats a = serial.Step();
+    const core::IterationStats b = parallel.Step();
     EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "sweep " << i;
     EXPECT_EQ(a.network_payload_bytes, b.network_payload_bytes);
     EXPECT_EQ(a.network_wire_bytes, b.network_wire_bytes);
@@ -253,9 +253,9 @@ TEST(Cluster, SyncScheduleIsWorkerCountInvariant) {
   opts.pool = &pool;
   ClusterTrainer parallel(c, cfg, opts);
   for (int i = 0; i < 2; ++i) {
-    const SweepStats a = serial.Sweep();
-    const SweepStats b = parallel.Sweep();
-    EXPECT_EQ(a.sweep, b.sweep) << "sweep " << i;
+    const core::IterationStats a = serial.Step();
+    const core::IterationStats b = parallel.Step();
+    EXPECT_EQ(a.iteration, b.iteration) << "sweep " << i;
     EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "sweep " << i;
     EXPECT_EQ(a.sampling_s, b.sampling_s) << "sweep " << i;
     EXPECT_EQ(a.sync_s, b.sync_s) << "sweep " << i;
@@ -291,7 +291,7 @@ TEST(Cluster, AsyncSweepResamplesEveryTokenOnce) {
   const auto c = TestCorpus();
   const auto cfg = TestConfig();
   ClusterTrainer t(c, cfg, TestOptions(3, 2, DistMode::kAsync));
-  t.Sweep();
+  t.Step();
   t.Gather().Validate(c);
 }
 
@@ -299,7 +299,7 @@ TEST(Cluster, SyncGatherValidates) {
   const auto c = TestCorpus();
   const auto cfg = TestConfig();
   ClusterTrainer t(c, cfg, TestOptions(2, 2, DistMode::kSync));
-  t.Sweep();
+  t.Step();
   t.Gather().Validate(c);
 }
 
@@ -307,7 +307,7 @@ TEST(Cluster, AsyncRingHandoffsAdvanceTheClock) {
   const auto c = TestCorpus();
   const auto cfg = TestConfig();
   ClusterTrainer t(c, cfg, TestOptions(3, 1, DistMode::kAsync));
-  const SweepStats s = t.Train(1).back();
+  const core::IterationStats s = t.Train(1).back();
   EXPECT_GT(s.sim_seconds, 0.0);
   EXPECT_GT(s.network_payload_bytes, 0u);
   // The first round of the first sweep has no handoffs (shards start

@@ -9,9 +9,15 @@
 #include <sstream>
 #include <string>
 
+#include "baselines/cpu_cgs.hpp"
+#include "baselines/fplus_lda.hpp"
 #include "baselines/gpu_dense.hpp"
 #include "baselines/saber_gpu.hpp"
+#include "baselines/sparse_lda.hpp"
+#include "baselines/warp_mh.hpp"
+#include "common.hpp"
 #include "core/trainer.hpp"
+#include "core/training_state.hpp"
 #include "core/word_partition.hpp"
 #include "corpus/chunking.hpp"
 #include "corpus/synthetic.hpp"
@@ -335,6 +341,48 @@ TEST(Validate, HeavyWordCorpusFailsLoudly) {
       EXPECT_NE(msg.find("word 0"), std::string::npos) << name << ": " << msg;
       EXPECT_NE(msg.find("70000"), std::string::npos) << name << ": " << msg;
       EXPECT_NE(msg.find("65535"), std::string::npos) << name << ": " << msg;
+    }
+  }
+}
+
+TEST(Validate, BenchDefaultProfilesFitPhiCap) {
+  // Every bench defaults to bench::kDefaultScale; at that scale the NYTimes
+  // and PubMed bench corpora must pass the trainers' own cap check, or the
+  // benches exit 1 when run without flags.
+  for (const auto& profile :
+       {bench::NyTimesBenchProfile(bench::kDefaultScale),
+        bench::PubMedBenchProfile(bench::kDefaultScale)}) {
+    EXPECT_NO_THROW(core::CheckTrainable(corpus::GenerateCorpus(profile)));
+  }
+}
+
+TEST(Validate, BaselinesRejectAsymmetricAlpha) {
+  // The baselines sample with the scalar α only; given an asymmetric prior
+  // they must refuse it instead of sampling with one prior and being scored
+  // under another.
+  const auto c = SmallCorpus();
+  core::CuldaConfig cfg = SmallConfig();
+  cfg.asymmetric_alpha.assign(cfg.num_topics, 0.1);
+  cfg.asymmetric_alpha[3] = 2.0;
+
+  const std::vector<std::pair<const char*, std::function<void()>>> solvers =
+      {{"CpuCgs", [&] { baselines::CpuCgs solver(c, cfg); }},
+       {"SparseLdaCgs", [&] { baselines::SparseLdaCgs solver(c, cfg); }},
+       {"WarpMhSampler", [&] { baselines::WarpMhSampler solver(c, cfg); }},
+       {"FPlusLda", [&] { baselines::FPlusLda solver(c, cfg); }},
+       {"GpuDenseLda",
+        [&] {
+          baselines::GpuDenseLda solver(c, cfg, gpusim::TitanXMaxwell());
+        }},
+       {"SaberGpuLda", [&] { baselines::SaberGpuLda solver(c, cfg); }}};
+  for (const auto& [name, construct] : solvers) {
+    try {
+      construct();
+      ADD_FAILURE() << name << " must reject an asymmetric alpha";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("symmetric priors only"), std::string::npos)
+          << name << ": " << msg;
     }
   }
 }

@@ -10,6 +10,7 @@
 // success (0) and real failures (1/3).
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
 #include "core/inference.hpp"
 #include "core/model_io.hpp"
@@ -233,6 +234,11 @@ int main(int argc, char** argv) {
     obs::JsonlSink& metrics_sink = obs_support.sink();
     const std::string& trace_path = obs_support.trace_path();
 
+    // One machine, or the simulated cluster (docs/distributed.md); both run
+    // the same loop and end-of-run tail through the solver interface.
+    std::unique_ptr<core::CuldaTrainer> single;
+    std::unique_ptr<dist::ClusterTrainer> cluster;
+    core::LdaSolver* solver = nullptr;
     if (nodes > 1) {
       dist::ClusterOptions copts;
       copts.num_nodes = static_cast<uint32_t>(nodes);
@@ -246,129 +252,82 @@ int main(int argc, char** argv) {
       copts.sampler = opts.sampler;
       copts.mh_cycles = opts.mh_cycles;
       copts.pool = opts.pool;
-      dist::ClusterTrainer trainer(corpus, cfg, copts);
+      cluster = std::make_unique<dist::ClusterTrainer>(corpus, cfg, copts);
+      solver = cluster.get();
       std::printf("%lld nodes x %zu %s | %s fabric, %s | %s mode\n",
                   static_cast<long long>(nodes), opts.gpus.size(),
                   opts.gpus[0].name.c_str(),
                   gpusim::FabricTopologyName(fabric_topology),
                   network_link.name.c_str(), dist::DistModeName(dist_mode));
-
-      InstallShutdownHandler();
-      bool interrupted = false;
-      for (int i = 0; i < iters; ++i) {
-        const auto st = trainer.Sweep();
-        if (validate) trainer.Gather().Validate(corpus);
-        if (!quiet && (i % 10 == 0 || i + 1 == iters)) {
-          std::printf(
-              "sweep %4u  %8.1f Mtok/s (sim)  net %7.2f MB  "
-              "staleness %u  ll/token %.4f\n",
-              st.sweep,
-              st.sim_seconds > 0 ? static_cast<double>(corpus.num_tokens()) /
-                                       st.sim_seconds / 1e6
-                                 : 0.0,
-              static_cast<double>(st.network_payload_bytes) / 1e6,
-              st.max_staleness, trainer.LogLikelihoodPerToken());
-        }
-        if (metrics_sink.active()) {
-          obs::JsonObject fields;
-          fields.Add("sweep", static_cast<uint64_t>(st.sweep))
-              .Add("sim_seconds", st.sim_seconds)
-              .Add("sampling_s", st.sampling_s)
-              .Add("sync_s", st.sync_s)
-              .Add("network_payload_bytes", st.network_payload_bytes)
-              .Add("network_wire_bytes", st.network_wire_bytes)
-              .Add("max_staleness",
-                   static_cast<uint64_t>(st.max_staleness))
-              .Add("theta_nnz", st.theta_nnz);
-          metrics_sink.WriteSnapshot("cluster_sweep", std::move(fields));
-        }
-        if (ShutdownRequested()) {
-          interrupted = true;
-          std::fprintf(stderr,
-                       "signal %d: stopping after sweep %u (sweep "
-                       "completed)\n",
-                       ShutdownSignal(), trainer.sweep());
-          break;
+    } else {
+      single = std::make_unique<core::CuldaTrainer>(corpus, cfg, opts);
+      solver = single.get();
+      if (!trace_path.empty()) {
+        for (size_t g = 0; g < single->group().size(); ++g) {
+          single->group().device(g).set_record_trace(true);
         }
       }
-      if (!interrupted) {
-        std::printf(
-            "done: %d sweeps, %.3f simulated seconds, %.2f MB network "
-            "payload, max staleness %u\n",
-            iters, trainer.Now(),
-            static_cast<double>(trainer.fabric().payload_bytes()) / 1e6,
-            trainer.max_observed_staleness());
+      if (!resume.empty()) {
+        // Falls back to `resume`.prev (with a warning) when the primary
+        // file is missing or torn — a crash mid-checkpoint never strands a
+        // run.
+        const std::string used = single->RestoreCheckpointFromFile(resume);
+        std::printf("resumed from %s at iteration %u\n", used.c_str(),
+                    single->iteration());
+        if (validate) single->ValidateState();
       }
-      if (!interrupted && heldout_frac > 0) {
-        const auto served = trainer.Gather();
-        core::InferenceOptions io;
-        io.pool = opts.pool;
-        io.numa_replicate = opts.numa_replicate;
-        const core::InferenceEngine engine(served, trainer.config(), io);
-        std::printf("held-out document-completion perplexity: %.3f\n",
-                    engine.DocumentCompletionPerplexity(heldout));
-      }
-      if (!interrupted && !out_path.empty()) {
-        const auto model = trainer.Gather();
-        model.Validate(corpus);
-        core::SaveModelToFile(model, out_path);
-        std::printf("model saved to %s\n", out_path.c_str());
-      }
-      if (metrics_sink.active()) {
-        obs::JsonObject fields;
-        fields.Add("iterations", static_cast<uint64_t>(iters))
-            .Add("sim_seconds", trainer.Now())
-            .Add("network_payload_bytes", trainer.fabric().payload_bytes())
-            .Add("workers", static_cast<uint64_t>(workers))
-            .Add("tokens", corpus.num_tokens());
-        metrics_sink.WriteSnapshot("train_summary", std::move(fields));
-        std::printf("metrics written to %s\n",
-                    flags.GetString("metrics-out", "").c_str());
-      }
-      obs_support.Shutdown();
-      return interrupted ? kInterruptedExitCode : 0;
+      std::printf("%zu x %s | M=%u (%s)\n", opts.gpus.size(),
+                  opts.gpus[0].name.c_str(), single->chunks_per_gpu(),
+                  single->chunks_per_gpu() == 1 ? "WorkSchedule1"
+                                                : "WorkSchedule2");
     }
-
-    core::CuldaTrainer trainer(corpus, cfg, opts);
-    if (!trace_path.empty()) {
-      for (size_t g = 0; g < trainer.group().size(); ++g) {
-        trainer.group().device(g).set_record_trace(true);
-      }
-    }
-    if (!resume.empty()) {
-      // Falls back to `resume`.prev (with a warning) when the primary file
-      // is missing or torn — a crash mid-checkpoint never strands a run.
-      const std::string used = trainer.RestoreCheckpointFromFile(resume);
-      std::printf("resumed from %s at iteration %u\n", used.c_str(),
-                  trainer.iteration());
-      if (validate) trainer.ValidateState();
-    }
-    std::printf("%zu x %s | M=%u (%s)\n", opts.gpus.size(),
-                opts.gpus[0].name.c_str(), trainer.chunks_per_gpu(),
-                trainer.chunks_per_gpu() == 1 ? "WorkSchedule1"
-                                              : "WorkSchedule2");
 
     // Cooperative shutdown: the handler only sets a flag; we check it at
     // iteration boundaries so a sweep is never torn mid-update.
     InstallShutdownHandler();
     bool interrupted = false;
-    double sim_total = 0;
     double wall_total = 0;
     for (int i = 0; i < iters; ++i) {
-      const auto st = trainer.Step();
-      if (validate) trainer.ValidateState();
-      sim_total += st.sim_seconds;
+      const core::IterationStats st = solver->Step();
+      if (validate) {
+        if (single) {
+          single->ValidateState();
+        } else {
+          solver->Gather().Validate(corpus);
+        }
+      }
       wall_total += st.wall_seconds;
       if (!quiet && (i % 10 == 0 || i + 1 == iters)) {
-        std::printf(
-            "iter %4u  %8.1f Mtok/s (sim)  %6.2f Mtok/s (wall)  "
-            "sync %6.2f ms  xfer %6.2f ms  theta %6.2f ms  ll/token %.4f\n",
-            st.iteration, st.tokens_per_sec / 1e6,
-            st.wall_tokens_per_sec / 1e6, st.sync_s * 1e3,
-            st.transfer_s * 1e3, st.update_theta_s * 1e3,
-            trainer.LogLikelihoodPerToken());
+        if (cluster) {
+          std::printf(
+              "sweep %4u  %8.1f Mtok/s (sim)  net %7.2f MB  "
+              "staleness %u  ll/token %.4f\n",
+              st.iteration, st.tokens_per_sec / 1e6,
+              static_cast<double>(st.network_payload_bytes) / 1e6,
+              st.max_staleness, solver->LogLikelihoodPerToken());
+        } else {
+          std::printf(
+              "iter %4u  %8.1f Mtok/s (sim)  %6.2f Mtok/s (wall)  "
+              "sync %6.2f ms  xfer %6.2f ms  theta %6.2f ms  ll/token "
+              "%.4f\n",
+              st.iteration, st.tokens_per_sec / 1e6,
+              st.wall_tokens_per_sec / 1e6, st.sync_s * 1e3,
+              st.transfer_s * 1e3, st.update_theta_s * 1e3,
+              solver->LogLikelihoodPerToken());
+        }
       }
-      if (metrics_sink.active()) {
+      if (metrics_sink.active() && cluster) {
+        obs::JsonObject fields;
+        fields.Add("sweep", static_cast<uint64_t>(st.iteration))
+            .Add("sim_seconds", st.sim_seconds)
+            .Add("sampling_s", st.sampling_s)
+            .Add("sync_s", st.sync_s)
+            .Add("network_payload_bytes", st.network_payload_bytes)
+            .Add("network_wire_bytes", st.network_wire_bytes)
+            .Add("max_staleness", static_cast<uint64_t>(st.max_staleness))
+            .Add("theta_nnz", st.theta_nnz);
+        metrics_sink.WriteSnapshot("cluster_sweep", std::move(fields));
+      } else if (metrics_sink.active()) {
         obs::JsonObject fields;
         fields.Add("iteration", static_cast<uint64_t>(st.iteration))
             .Add("sim_seconds", st.sim_seconds)
@@ -386,11 +345,12 @@ int main(int argc, char** argv) {
       if (ShutdownRequested()) {
         interrupted = true;
         std::fprintf(stderr,
-                     "signal %d: stopping after iteration %u (sweep "
-                     "completed)\n",
-                     ShutdownSignal(), trainer.iteration());
+                     "signal %d: stopping after %s %u (sweep completed)\n",
+                     ShutdownSignal(), cluster ? "sweep" : "iteration",
+                     st.iteration + 1);
+        // --checkpoint is single-machine only (rejected with --nodes>1).
         if (!ckpt_path.empty()) {
-          trainer.SaveCheckpointToFile(ckpt_path);
+          single->SaveCheckpointToFile(ckpt_path);
           std::fprintf(stderr, "checkpoint written to %s\n",
                        ckpt_path.c_str());
         }
@@ -399,15 +359,22 @@ int main(int argc, char** argv) {
       if (!ckpt_path.empty() && (i + 1) % ckpt_every == 0) {
         // Atomic write + rotation: the previous checkpoint survives as
         // `ckpt_path`.prev until the new one is fully on disk.
-        trainer.SaveCheckpointToFile(ckpt_path);
+        single->SaveCheckpointToFile(ckpt_path);
       }
     }
-    if (!interrupted) {
+    if (!interrupted && cluster) {
+      std::printf(
+          "done: %d sweeps, %.3f simulated seconds, %.2f MB network "
+          "payload, max staleness %u\n",
+          iters, solver->ModeledSeconds(),
+          static_cast<double>(cluster->fabric().payload_bytes()) / 1e6,
+          cluster->max_observed_staleness());
+    } else if (!interrupted) {
       std::printf(
           "done: %d iterations, %.3f simulated seconds, %.3f wall seconds "
           "(%zu workers, %.2f Mtok/s wall)\n",
-          iters, sim_total, wall_total, workers,
-          wall_total > 0 ? static_cast<double>(trainer.num_tokens()) *
+          iters, solver->ModeledSeconds(), wall_total, workers,
+          wall_total > 0 ? static_cast<double>(solver->num_tokens()) *
                                iters / wall_total / 1e6
                          : 0.0);
     }
@@ -415,16 +382,16 @@ int main(int argc, char** argv) {
     if (!interrupted && heldout_frac > 0) {
       // The engine keeps a pointer into the gathered model, so it must
       // outlive the perplexity call below.
-      const auto served = trainer.Gather();
+      const auto served = solver->Gather();
       core::InferenceOptions io;
       io.pool = opts.pool;
       io.numa_replicate = opts.numa_replicate;
-      const core::InferenceEngine engine(served, trainer.config(), io);
+      const core::InferenceEngine engine(served, solver->config(), io);
       std::printf("held-out document-completion perplexity: %.3f\n",
                   engine.DocumentCompletionPerplexity(heldout));
     }
     if (!interrupted && !out_path.empty()) {
-      const auto model = trainer.Gather();
+      const auto model = solver->Gather();
       model.Validate(corpus);
       core::SaveModelToFile(model, out_path);
       std::printf("model saved to %s\n", out_path.c_str());
@@ -433,10 +400,14 @@ int main(int argc, char** argv) {
     if (metrics_sink.active()) {
       obs::JsonObject fields;
       fields.Add("iterations", static_cast<uint64_t>(iters))
-          .Add("sim_seconds", sim_total)
-          .Add("wall_seconds", wall_total)
-          .Add("workers", static_cast<uint64_t>(workers))
-          .Add("tokens", trainer.num_tokens());
+          .Add("sim_seconds", solver->ModeledSeconds());
+      if (cluster) {
+        fields.Add("network_payload_bytes", cluster->fabric().payload_bytes());
+      } else {
+        fields.Add("wall_seconds", wall_total);
+      }
+      fields.Add("workers", static_cast<uint64_t>(workers))
+          .Add("tokens", solver->num_tokens());
       metrics_sink.WriteSnapshot("train_summary", std::move(fields));
       std::printf("metrics written to %s\n",
                   flags.GetString("metrics-out", "").c_str());
@@ -444,13 +415,15 @@ int main(int argc, char** argv) {
     // The exporter stops after the summary snapshot so the exposed file
     // reflects the finished run.
     obs_support.Shutdown();
+    // --trace-out and --profile-json are single-machine only (rejected
+    // with --nodes>1).
     if (!trace_path.empty()) {
       // Training merges the simulated device timeline with the host spans,
       // so it writes the trace itself instead of WriteHostTrace().
       std::ofstream trace_out(trace_path, std::ios::trunc);
       CULDA_CHECK_MSG(trace_out.good(),
                       "cannot open '" << trace_path << "' for writing");
-      gpusim::WriteMergedChromeTrace(trainer.group(),
+      gpusim::WriteMergedChromeTrace(single->group(),
                                      obs::SpanTracer::Global(), trace_out);
       std::printf("trace written to %s\n", trace_path.c_str());
     }
@@ -458,7 +431,7 @@ int main(int argc, char** argv) {
       std::ofstream profile_out(profile_path, std::ios::trunc);
       CULDA_CHECK_MSG(profile_out.good(),
                       "cannot open '" << profile_path << "' for writing");
-      gpusim::WriteProfileJson(trainer.group(), profile_out);
+      gpusim::WriteProfileJson(single->group(), profile_out);
       std::printf("profile written to %s\n", profile_path.c_str());
     }
     return interrupted ? kInterruptedExitCode : 0;
